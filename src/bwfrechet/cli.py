@@ -27,7 +27,6 @@ from .dataio import (
 from .errors import (
     IllConditionedError,
     InvalidInputError,
-    NoConvergenceError,
     SingularError,
     UnreliableResultError,
 )
@@ -40,7 +39,7 @@ from .experiments import (
     run_power_curve,
     run_size_study,
 )
-from .frechet import Dataset, frechet_regress
+from .frechet import frechet_regress
 from .partial_test import TestOptions, no_split_statistic, run_partial_test
 from .simgen import SimConfig, generate
 
@@ -424,7 +423,7 @@ def main(argv=None):
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IllConditionedError, SingularError, NoConvergenceError) as exc:
+    except (IllConditionedError, SingularError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except UnreliableResultError as exc:

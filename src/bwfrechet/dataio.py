@@ -23,7 +23,13 @@ from .frechet import Dataset
 
 DATASET_FORMAT = "bwfrechet-dataset"
 RESULT_FORMAT = "bwfrechet-result"
-FORMAT_VERSION = 1
+# the two layouts are versioned apart, so a change to one does not orphan
+# files of the other
+DATASET_VERSION = 1
+RESULT_VERSION = 2
+# a version-1 result holds every version-2 key plus one since-removed
+# diagnostics key, so it still loads
+_READABLE_RESULT_VERSIONS = (1, RESULT_VERSION)
 
 _META_NAME = "meta.json"
 _COV_NAME = "covariates.csv"
@@ -60,7 +66,7 @@ def write_dataset(path, data, fmt="json", metadata=None):
     if fmt == "json":
         payload = {
             "format": DATASET_FORMAT,
-            "version": FORMAT_VERSION,
+            "version": DATASET_VERSION,
             "n": data.n,
             "p": data.p,
             "p1": data.p1,
@@ -79,7 +85,7 @@ def write_dataset(path, data, fmt="json", metadata=None):
     os.makedirs(path, exist_ok=True)
     meta = {
         "format": DATASET_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": DATASET_VERSION,
         "layout": "tabular",
         "n": data.n,
         "p": data.p,
@@ -115,7 +121,7 @@ def _check_header(payload, where):
         raise InvalidInputError(
             f"{where}: format is {payload.get('format')!r}, expected {DATASET_FORMAT!r}"
         )
-    if payload.get("version") != FORMAT_VERSION:
+    if payload.get("version") != DATASET_VERSION:
         raise InvalidInputError(
             f"{where}: unsupported version {payload.get('version')!r}"
         )
@@ -285,7 +291,7 @@ def dataset_checksum(path):
 
 def write_result(path, kind, body):
     """Write a result document: a typed JSON envelope around ``body``."""
-    payload = {"format": RESULT_FORMAT, "version": FORMAT_VERSION, "kind": kind}
+    payload = {"format": RESULT_FORMAT, "version": RESULT_VERSION, "kind": kind}
     payload.update(body)
     _write_json(path, payload)
 
@@ -296,7 +302,7 @@ def load_result(path):
         raise InvalidInputError(
             f"{path}: format is {payload.get('format')!r}, expected {RESULT_FORMAT!r}"
         )
-    if payload.get("version") != FORMAT_VERSION:
+    if payload.get("version") not in _READABLE_RESULT_VERSIONS:
         raise InvalidInputError(f"{path}: unsupported version {payload.get('version')!r}")
     return payload
 
@@ -318,7 +324,6 @@ def test_result_body(result, input_sha256=None):
             "n_fits": result.diagnostics.n_fits,
             "nonconverged": result.diagnostics.nonconverged,
             "min_hessian_eigenvalue": float(result.diagnostics.min_hessian_eigenvalue),
-            "adjustment_dropped_modes": result.diagnostics.adjustment_dropped_modes,
         },
     }
     if input_sha256 is not None:

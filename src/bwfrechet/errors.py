@@ -24,17 +24,7 @@ class IllConditionedError(BwfrechetError):
 
 
 class SingularError(BwfrechetError):
-    """A linear system with no usable solution (singular covariance,
-    eigenvalue collision in a Sylvester solve)."""
-
-
-class NoConvergenceError(BwfrechetError):
-    """An iterative solver stopped without meeting its tolerance.
-
-    The Frechet mean solver reports non-convergence through a result flag
-    rather than this exception; the class exists for callers that want to
-    escalate flagged results themselves.
-    """
+    """A linear system with no usable solution (singular covariance)."""
 
 
 class UnreliableResultError(BwfrechetError):

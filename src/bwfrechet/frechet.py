@@ -56,8 +56,8 @@ class CovariateMoments:
     """First and second moments of a covariate sample.
 
     ``cov`` uses divisor n, so it is exactly the average of outer products of
-    centered rows; the regression weight function and the influence-function
-    algebra both rely on that normalization. ``p1`` marks how many leading
+    centered rows; the regression weights average to one over the sample
+    because of that normalization. ``p1`` marks how many leading
     coordinates form the retained block; the trailing coordinates are the
     block whose partial effect is under test.
 
@@ -264,13 +264,23 @@ def _initial_iterate(qs, weights, scheme, eps_pd):
 
 
 def _fit_mean(qs, weights, options):
-    """Descent loop on pre-validated response stack ``qs``."""
+    """Descent loop on pre-validated response stack ``qs``.
+
+    Raises ``IllConditionedError`` when the initial iterate is not positive
+    definite at the solver threshold; every fit in the package runs through
+    here, so none of them can leak the internal ``_NotPD`` signal.
+    """
     n, d = qs.shape[0], qs.shape[-1]
     trq = np.trace(qs, axis1=1, axis2=2)
     eye = np.eye(d)
     s = _initial_iterate(qs, weights, options.init, options.eps_pd)
 
-    wi, mvecs, r, d2 = _eval_state(s, qs, trq, options.eps_pd)
+    try:
+        wi, mvecs, r, d2 = _eval_state(s, qs, trq, options.eps_pd)
+    except _NotPD:
+        raise IllConditionedError(
+            "initial iterate is not positive definite at the solver threshold"
+        ) from None
     obj = float(np.dot(weights, d2) / n)
     wbar = weights.mean()
     iterations = 0
@@ -363,12 +373,7 @@ def weighted_frechet_mean(responses, weights, options=None):
         raise InvalidInputError("weights: non-finite entries")
     if weights.sum() <= 0:
         raise InvalidInputError("weights must have positive sum")
-    try:
-        return _fit_mean(qs, weights, options)
-    except _NotPD:
-        raise IllConditionedError(
-            "initial iterate is not positive definite at the solver threshold"
-        ) from None
+    return _fit_mean(qs, weights, options)
 
 
 def regression_weights(x, covariates, moments):
@@ -409,12 +414,7 @@ def frechet_regress(data, x, moments=None, options=None):
     w = regression_weights(x, data.covariates, moments)
     if w.sum() <= 0:
         raise InvalidInputError("regression weights at x have nonpositive sum")
-    try:
-        return _fit_mean(data.responses, w, options)
-    except _NotPD:
-        raise IllConditionedError(
-            "initial iterate is not positive definite at the solver threshold"
-        ) from None
+    return _fit_mean(data.responses, w, options)
 
 
 def hessian_operator(base, data, x, moments=None):

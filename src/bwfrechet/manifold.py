@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from .errors import IllConditionedError, InvalidInputError, SingularError
+from .errors import IllConditionedError, InvalidInputError
 
 EPS_PD = 1e-10
 
@@ -117,46 +117,6 @@ def ot_map(base, target, eps_pd=EPS_PD):
     return sym_part(wi @ root @ wi)
 
 
-def solve_sylvester(a, b, c):
-    """Solve X A + B X = C for square A, B via eigendecompositions.
-
-    A and B need not be symmetric but must be diagonalizable with no
-    eigenvalue collision lam_i(A) + lam_j(B) ~ 0; a collision raises
-    ``SingularError``. The computed solution is verified against the
-    residual; an inaccurate solve raises ``IllConditionedError``.
-    """
-    a = _as_square(a, "solve_sylvester: A")
-    b = _as_square(b, "solve_sylvester: B")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (b.shape[0], a.shape[0]):
-        raise InvalidInputError(
-            f"solve_sylvester: C must have shape {(b.shape[0], a.shape[0])}, got {c.shape}"
-        )
-    if not np.all(np.isfinite(c)):
-        raise InvalidInputError("solve_sylvester: C has non-finite entries")
-    la, va = np.linalg.eig(a)
-    lb, vb = np.linalg.eig(b)
-    denom = lb[:, None] + la[None, :]
-    scale = max(np.abs(la).max(), np.abs(lb).max(), 1e-300)
-    if np.abs(denom).min() < 1e-12 * scale:
-        raise SingularError(
-            "solve_sylvester: eigenvalue collision makes the equation singular"
-        )
-    chat = np.linalg.solve(vb, c.astype(complex) @ va)
-    y = chat / denom
-    x = np.linalg.solve(va.T, (vb @ y).T).T
-    x = np.real_if_close(x, tol=1e6)
-    if np.iscomplexobj(x):
-        x = x.real
-    resid = np.linalg.norm(x @ a + b @ x - c)
-    ref = max(np.linalg.norm(c), np.linalg.norm(x) * scale, 1e-300)
-    if resid > 1e-8 * ref:
-        raise IllConditionedError(
-            f"solve_sylvester: residual {resid:.3g} exceeds tolerance (ill-conditioned eigenbasis)"
-        )
-    return x
-
-
 # ---------------------------------------------------------------------------
 # coordinates on the space of symmetric matrices
 # ---------------------------------------------------------------------------
@@ -233,8 +193,7 @@ class SymOperator:
     """Linear operator on symmetric d x d matrices in the fixed basis.
 
     Stored as a dense m x m matrix with m = d(d+1)/2, acting on
-    :func:`sym_coords` coordinate vectors. The matrix need not be symmetric
-    (composition of self-adjoint operators is not).
+    :func:`sym_coords` coordinate vectors.
     """
 
     __slots__ = ("dim", "matrix")
@@ -251,10 +210,6 @@ class SymOperator:
         self.dim = int(dim)
         self.matrix = matrix
 
-    @classmethod
-    def identity(cls, dim):
-        return cls(dim, np.eye(sym_dim(dim)))
-
     def apply(self, h):
         """Apply to one symmetric matrix or a stack (..., d, d)."""
         h = np.asarray(h, dtype=float)
@@ -263,53 +218,6 @@ class SymOperator:
                 f"SymOperator.apply: expected trailing shape {(self.dim, self.dim)}, got {h.shape}"
             )
         return sym_from_coords(sym_coords(h) @ self.matrix.T, self.dim)
-
-    def compose(self, other):
-        """self after other."""
-        if not isinstance(other, SymOperator) or other.dim != self.dim:
-            raise InvalidInputError("SymOperator.compose: dimension mismatch")
-        return SymOperator(self.dim, self.matrix @ other.matrix)
-
-    __matmul__ = compose
-
-    def is_symmetric(self, rtol=1e-10):
-        scale = max(np.abs(self.matrix).max(), 1e-300)
-        return np.abs(self.matrix - self.matrix.T).max() <= rtol * scale
-
-    def eigenvalues(self):
-        """Spectrum of the operator; real ascending when self-adjoint."""
-        if self.is_symmetric(rtol=1e-8):
-            return np.linalg.eigvalsh(sym_part(self.matrix))
-        return np.linalg.eigvals(self.matrix)
-
-    def pinv(self, rel_threshold=EPS_PD):
-        """Thresholded pseudo-inverse of a self-adjoint operator.
-
-        Eigenmodes with |eigenvalue| <= rel_threshold * max |eigenvalue| are
-        inverted to zero. Returns (operator, number of dropped modes).
-        """
-        vals, vecs = np.linalg.eigh(sym_part(self.matrix))
-        cut = rel_threshold * max(np.abs(vals).max(), 0.0)
-        keep = np.abs(vals) > cut
-        inv = np.zeros_like(vals)
-        inv[keep] = 1.0 / vals[keep]
-        mat = (vecs * inv) @ vecs.T
-        return SymOperator(self.dim, sym_part(mat)), int((~keep).sum())
-
-    def to_dict(self):
-        return {"dim": self.dim, "matrix": [float(x) for x in self.matrix.ravel()]}
-
-    @classmethod
-    def from_dict(cls, payload):
-        try:
-            dim = int(payload["dim"])
-            mat = np.asarray(payload["matrix"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"SymOperator.from_dict: {exc}") from None
-        m = sym_dim(dim)
-        if mat.size != m * m:
-            raise InvalidInputError("SymOperator.from_dict: matrix size mismatch")
-        return cls(dim, mat.reshape(m, m))
 
     def __repr__(self):
         return f"SymOperator(dim={self.dim})"
@@ -346,15 +254,13 @@ class TransportBatch:
         self.sqrt_mu = np.sqrt(np.clip(mu, 0.0, None))  # (k, d)
         self.vecs = v                                   # (k, d, d)
 
-    def maps(self, idx=None):
+    def maps(self):
         """Transport maps T_i with T_i base T_i = Q_i, shape (k, d, d)."""
         v, s = self.vecs, self.sqrt_mu
-        if idx is not None:
-            v, s = v[idx], s[idx]
         core = (v * s[:, None, :]) @ v.transpose(0, 2, 1)
         return sym_part(self.wi @ core @ self.wi)
 
-    def dt_factors(self, idx=None):
+    def dt_factors(self):
         """Factors (cong, gamma) of the base-point differentials.
 
         The differential of the transport map in its base point acts as
@@ -368,8 +274,6 @@ class TransportBatch:
         The operator matrix of dT_i is -cong_i diag(gamma_i) cong_i^T.
         """
         v, s = self.vecs, self.sqrt_mu
-        if idx is not None:
-            v, s = v[idx], s[idx]
         d = self.d
         k = self.wi @ v                                 # (k, d, d)
         denom = s[:, :, None] + s[:, None, :]

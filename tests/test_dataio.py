@@ -202,6 +202,19 @@ def test_tabular_header_and_counts(tmp_path):
         load_dataset(path3)
 
 
+def test_version_1_dataset_loads(tmp_path):
+    # a dataset file written by hand at format version 1, the version that
+    # every existing dataset carries
+    payload = dict(BASE_META)
+    payload["covariates"] = [row[1:] for row in BASE_COV]
+    payload["responses"] = [[[2.0, 0.5], [0.5, 1.5]], [[3.0, -0.25], [-0.25, 1.0]]]
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(payload))
+    data = load_dataset(path)
+    assert_allclose(data.covariates, [[0.25, -0.5], [-1.0, 0.75]], atol=0)
+    assert_allclose(data.responses[1], [[3.0, -0.25], [-0.25, 1.0]], atol=0)
+
+
 def test_json_validation(tmp_path):
     data = tiny_dataset()
     path = tmp_path / "d.json"
@@ -271,6 +284,7 @@ def test_result_envelope_roundtrip(tmp_path):
     assert back["input_sha256"] == "ab" * 32
     assert_allclose(back["eigenvalues"], res.eigenvalues, atol=0)
     assert back["diagnostics"]["n_fits"] == res.diagnostics.n_fits
+    assert back["version"] == 2
 
     bad = tmp_path / "bad.json"
     payload = json.loads(path.read_text())
@@ -278,6 +292,39 @@ def test_result_envelope_roundtrip(tmp_path):
     bad.write_text(json.dumps(payload))
     with pytest.raises(InvalidInputError):
         load_result(bad)
+
+
+def test_version_1_result_loads(tmp_path):
+    # a test result written by hand at result version 1, whose diagnostics
+    # still carry the key that version 2 dropped
+    payload = {
+        "format": "bwfrechet-result",
+        "version": 1,
+        "kind": "partial-effect-test",
+        "statistic": 3.5,
+        "p_value": 0.25,
+        "eigenvalues": [1.5, 0.5],
+        "diagnostics": {
+            "n1": 6, "n2": 6, "n_fits": 18, "nonconverged": 0,
+            "min_hessian_eigenvalue": 0.125, "adjustment_dropped_modes": 0,
+        },
+    }
+    path = tmp_path / "v1-result.json"
+    path.write_text(json.dumps(payload))
+    assert load_result(path) == payload
+
+    payload["version"] = 3
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidInputError, match="unsupported version"):
+        load_result(path)
+
+
+def test_result_diagnostics_keys():
+    res = pt.run_partial_test(tiny_dataset(n=12), pt.TestOptions(mc_draws=2000, max_nonconverged=1.0))
+    body = dio.test_result_body(res)
+    assert list(body["diagnostics"]) == [
+        "n1", "n2", "n_fits", "nonconverged", "min_hessian_eigenvalue"
+    ]
 
 
 def test_write_table_float_repr(tmp_path):

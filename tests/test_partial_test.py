@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bwfrechet.errors import InvalidInputError, UnreliableResultError
+from bwfrechet.errors import IllConditionedError, InvalidInputError, UnreliableResultError
 from bwfrechet.frechet import (
     CovariateMoments,
     Dataset,
@@ -23,12 +23,8 @@ from bwfrechet import partial_test as pt
 from bwfrechet.partial_test import (
     SplitDataset,
     fit_first_half,
-    gram_kernel,
     impute_z,
-    imputation_adjustment,
     imputed_covariates,
-    influence_kernel_matrix,
-    influence_matrix,
     kernel_matrix,
     mixture_quantile,
     no_split_statistic,
@@ -37,7 +33,7 @@ from bwfrechet.partial_test import (
     run_partial_test,
     split_dataset,
 )
-from bwfrechet.simgen import SimConfig, generate
+from bwfrechet.simgen import SimConfig, generate, haar_orthogonal
 
 QUIET = SolverOptions(grad_tol=1e-9)
 
@@ -158,9 +154,14 @@ def test_impute_collinear_z_column():
 # ---------------------------------------------------------------------------
 
 
-def straight_line_statistic(data, options):
-    """Direct re-implementation of the discrepancy statistic, no caching."""
-    n1 = (data.n + 1) // 2
+def straight_line_statistic(data, options, split=True):
+    """Direct re-implementation of the discrepancy statistic, no caching.
+
+    With ``split`` the first half fits and the second half evaluates, as in
+    the test; without it every row does both, as in no_split_statistic.
+    """
+    n1 = (data.n + 1) // 2 if split else data.n
+    evaluation = range(n1, data.n) if split else range(data.n)
     x = data.covariates
     q1 = data.responses[:n1]
     p1 = data.p1
@@ -172,7 +173,7 @@ def straight_line_statistic(data, options):
     total = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for k in range(n1, data.n):
+        for k in evaluation:
             y = x[k, :p1]
             zhat = m.mean[p1:] + cov21 @ inv11 @ (y - m.mean[:p1])
             xhat = np.concatenate([y, zhat])
@@ -238,146 +239,17 @@ def test_statistic_first_order_expansion_tracks_kernel_total():
 
 
 # ---------------------------------------------------------------------------
-# influence functions and the adjustment operator
+# kernel
 # ---------------------------------------------------------------------------
 
 
-def nocache_influence(fit, split, second_index, first_index):
-    """tau-hat from explicit loops over the displayed formulas."""
-    m = split.moments
-    n1 = split.n1
-    d = split.data.d
-    p1 = split.data.p1
-    x = split.data.covariates
-    inv = np.linalg.inv(m.cov)
-    inv11 = np.linalg.inv(m.cov[:p1, :p1])
-    xc = x - m.mean
-    base = fit.means_first[first_index]
-    eye = np.eye(d)
-
-    t_first = np.stack([ot_map(base, split.data.responses[j]) - eye for j in range(n1)])
-    ti = ot_map(base, split.data.responses[n1 + second_index]) - eye
-    xk = xc[first_index]
-    xi = xc[n1 + second_index]
-
-    mstack = np.tensordot(xc[:n1], t_first, axes=(0, 0)) / n1
-    a0 = inv @ (np.outer(xi, xi) - m.cov) @ inv @ xk
-    tau0 = (xi @ inv @ xk) * ti - np.tensordot(a0, mstack, axes=(0, 0))
-    a1 = inv11 @ (np.outer(xi[:p1], xi[:p1]) - m.cov[:p1, :p1]) @ inv11 @ xk[:p1]
-    tau1 = (xi[:p1] @ inv11 @ xk[:p1]) * ti - np.tensordot(a1, mstack[:p1], axes=(0, 0))
-
-    w_obs = 1.0 + xc[:n1] @ inv @ xk
-    w_hat = 1.0 + xc[:n1] @ inv @ (fit.xhat_first[first_index] - m.mean)
-    msym = sym_dim(d)
-    numer = np.zeros((msym, msym))
-    denom = np.zeros((msym, msym))
-    for j in range(n1):
-        dt = ot_map_differential(base, split.data.responses[j]).matrix
-        numer += (w_obs[j] - w_hat[j]) * dt
-        denom -= w_obs[j] * dt
-    numer /= n1
-    denom /= n1
-    dinv, _ = SymOperator(d, denom).pinv(1e-10)
-    ahat = SymOperator(d, numer @ dinv.matrix)
-    return tau0 - tau1 + ahat.apply(tau0)
-
-
-@pytest.mark.parametrize(
-    "data",
-    [small_example(n=24, delta=0.15, seed=31), generic_dataset(24, 4, 2, 3, 32)],
-    ids=["shared-eigenbasis", "generic"],
-)
-def test_influence_matches_nocache_oracle(data):
-    split = split_dataset(data)
-    fit = fit_first_half(split, QUIET)
-    for i, k in ((0, 0), (3, 5), (11, 2)):
-        got = influence_matrix(fit, i, k)
-        want = nocache_influence(fit, split, i, k)
-        assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-
-
-def test_influence_centered_argument_simplification():
-    # second-half row equal to the first-half mean: the leading terms of
-    # tau0/tau1 vanish and the moment contractions keep a = -inv @ center
-    rng = np.random.default_rng(33)
-    x = rng.uniform(-1, 1, (16, 3))
-    x[8] = x[:8].mean(axis=0)
-    q = random_spd_stack(rng, 16, 3)
-    split = split_dataset(Dataset(covariates=x, responses=q, p1=2))
-    fit = fit_first_half(split, QUIET)
-    k = 4
-    got = influence_matrix(fit, 0, k)
-
-    m = split.moments
-    inv = np.linalg.inv(m.cov)
-    inv11 = np.linalg.inv(m.cov[:2, :2])
-    xc = x - m.mean
-    base = fit.means_first[k]
-    eye = np.eye(3)
-    t_first = np.stack([ot_map(base, q[j]) - eye for j in range(8)])
-    mstack = np.tensordot(xc[:8], t_first, axes=(0, 0)) / 8
-    tau0 = np.tensordot(inv @ xc[k], mstack, axes=(0, 0))
-    tau1 = np.tensordot(inv11 @ xc[k, :2], mstack[:2], axes=(0, 0))
-    adj = imputation_adjustment(fit, k)
-    want = tau0 - tau1 + adj.apply(tau0)
-    assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-
-
-def test_influence_and_kernels_vanish_when_no_tested_block():
+def test_kernel_vanishes_when_no_tested_block():
     rng = np.random.default_rng(34)
     x = rng.uniform(-1, 1, (14, 3))
     q = random_spd_stack(rng, 14, 3)
     split = handmade_split(x, q, p1=3)
     fit = fit_first_half(split, QUIET)
-    assert_allclose(influence_matrix(fit, 2, 3), np.zeros((3, 3)), atol=1e-10)
-    assert_allclose(imputation_adjustment(fit, 1).matrix, 0.0, atol=1e-12)
     assert_allclose(kernel_matrix(fit), 0.0, atol=1e-14)
-    assert_allclose(influence_kernel_matrix(fit), 0.0, atol=1e-10)
-
-
-def test_adjustment_composition_residual():
-    data = small_example(n=20, d=3, delta=0.1, seed=35)
-    split = split_dataset(data)
-    fit = fit_first_half(split, QUIET)
-    m = split.moments
-    inv = m.require_cov_inv()
-    xc = split.first_covariates - m.mean
-    k = 3
-    base = fit.means_first[k]
-    w_obs = 1.0 + xc @ inv @ xc[k]
-    w_hat = 1.0 + xc @ inv @ (fit.xhat_first[k] - m.mean)
-    msym = sym_dim(data.d)
-    numer = np.zeros((msym, msym))
-    denom = np.zeros((msym, msym))
-    for j in range(split.n1):
-        dt = ot_map_differential(base, split.first_responses[j]).matrix
-        numer += (w_obs[j] - w_hat[j]) * dt
-        denom -= w_obs[j] * dt
-    numer /= split.n1
-    denom /= split.n1
-    adj = imputation_adjustment(fit, k)
-    assert_allclose(adj.matrix @ denom, numer, rtol=1e-8, atol=1e-10)
-    with pytest.raises(InvalidInputError):
-        imputation_adjustment(fit, split.n1)
-
-
-# ---------------------------------------------------------------------------
-# kernels
-# ---------------------------------------------------------------------------
-
-
-def test_gram_kernel_rank_one_factorization():
-    rng = np.random.default_rng(41)
-    n1, n2, d = 5, 4, 3
-    coeff = rng.standard_normal((n1, n2))
-    mat = rng.standard_normal((d, d))
-    mat = mat + mat.T
-    stack = coeff[:, :, None, None] * mat
-    got = gram_kernel(stack)
-    want = (coeff.T @ coeff) * float(np.sum(mat * mat)) / (n1 * n2)
-    assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    with pytest.raises(InvalidInputError):
-        gram_kernel(np.zeros((3, 3, 2)))
 
 
 def test_kernel_matrix_matches_direct_loops():
@@ -407,20 +279,6 @@ def test_kernel_matrix_matches_direct_loops():
     assert_allclose(got, want, rtol=1e-9, atol=1e-13)
     vals = np.linalg.eigvalsh(got)
     assert vals[0] >= -1e-10 * max(np.trace(got), 1e-12)
-
-
-def test_influence_kernel_matrix_gram_properties():
-    data = small_example(n=24, delta=0.0, seed=47)
-    split = split_dataset(data)
-    fit = fit_first_half(split, QUIET)
-    kern = influence_kernel_matrix(fit)
-    assert kern.shape == (split.n2, split.n2)
-    assert_allclose(kern, kern.T, atol=1e-12)
-    vals = np.linalg.eigvalsh(kern)
-    assert vals[0] >= -1e-10 * max(np.trace(kern), 1e-12)
-    # threading only changes the work schedule, not the result
-    fit2 = fit_first_half(split, QUIET)
-    assert np.array_equal(influence_kernel_matrix(fit2, threads=4), kern)
 
 
 def test_null_eigenvalues_identities():
@@ -597,12 +455,43 @@ def test_test_options_validation():
         pt.TestOptions(max_nonconverged=-0.1)
 
 
-def test_no_split_statistic_diagnostic():
-    data = small_example(n=16, delta=0.2, seed=79)
-    value = no_split_statistic(data, pt.TestOptions(mc_draws=2000, max_nonconverged=1.0))
+@pytest.mark.parametrize(
+    "data",
+    [small_example(n=16, delta=0.2, seed=79), generic_dataset(16, 4, 2, 3, 81)],
+    ids=["shared-eigenbasis", "generic"],
+)
+def test_no_split_statistic_matches_straight_line_oracle(data):
+    options = pt.TestOptions(mc_draws=2000, max_nonconverged=1.0, solver=QUIET)
+    value = no_split_statistic(data, options)
     assert np.isfinite(value) and value >= 0.0
+    assert_allclose(value, straight_line_statistic(data, QUIET, split=False), rtol=1e-8)
+    # threading only changes the work schedule, not the result
+    threaded = pt.TestOptions(mc_draws=2000, max_nonconverged=1.0, solver=QUIET, threads=3)
+    assert no_split_statistic(data, threaded) == value
+
+
+def test_no_split_statistic_rejects_vacuous_partition():
     rng = np.random.default_rng(80)
     x = rng.uniform(-1, 1, (12, 2))
     q = random_spd_stack(rng, 12, 2)
     with pytest.raises(InvalidInputError):
         no_split_statistic(Dataset(covariates=x, responses=q, p1=2))
+
+
+def ill_conditioned_dataset():
+    # responses of condition number about 1e8 along one shared direction:
+    # valid at the default threshold, but the initial iterate fails the
+    # solver threshold of 1e-6 below
+    data = small_example(n=40, d=3)
+    rng = np.random.default_rng(83)
+    u = haar_orthogonal(3, rng)
+    scales = rng.uniform(0.5, 1.5, (data.n, 3)) * np.array([1.0, 1.0, 1e-8])
+    q = np.einsum("ab,nb,cb->nac", u, scales, u)
+    return Dataset(covariates=data.covariates, responses=q, p1=data.p1)
+
+
+@pytest.mark.parametrize("run", [run_partial_test, no_split_statistic], ids=["split", "no-split"])
+def test_ill_conditioned_responses_raise_typed_error(run):
+    options = pt.TestOptions(mc_draws=2000, solver=SolverOptions(eps_pd=1e-6))
+    with pytest.raises(IllConditionedError):
+        run(ill_conditioned_dataset(), options)
