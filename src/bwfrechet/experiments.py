@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import BwfrechetError, InvalidInputError
 from .frechet import CovariateMoments, SolverOptions, frechet_regress
@@ -155,15 +154,17 @@ def clopper_pearson(successes, total, level=0.95):
     """Exact binomial confidence interval for a proportion."""
     if not 0 <= successes <= total or total < 1:
         raise InvalidInputError("need 0 <= successes <= total with total >= 1")
+    from scipy import stats  # deferred: scipy.stats is most of the package's import time
+
     tail = (1.0 - level) / 2.0
     if successes == 0:
         low = 0.0
     else:
-        low = float(_scipy_stats.beta.ppf(tail, successes, total - successes + 1))
+        low = float(stats.beta.ppf(tail, successes, total - successes + 1))
     if successes == total:
         high = 1.0
     else:
-        high = float(_scipy_stats.beta.ppf(1.0 - tail, successes + 1, total - successes))
+        high = float(stats.beta.ppf(1.0 - tail, successes + 1, total - successes))
     return low, high
 
 
@@ -413,5 +414,7 @@ def mixture_ks_distance(statistics, lambdas, mc_draws=100_000, seed=0):
     statistics = np.asarray(statistics, dtype=float).reshape(-1)
     if statistics.size < 1 or not np.all(np.isfinite(statistics)):
         raise InvalidInputError("statistics must be a nonempty finite array")
+    from scipy import stats  # deferred, as in clopper_pearson
+
     draws = _mixture_draws(lambdas, mc_draws, seed)
-    return float(_scipy_stats.ks_2samp(statistics, draws).statistic)
+    return float(stats.ks_2samp(statistics, draws).statistic)

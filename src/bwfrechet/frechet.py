@@ -263,8 +263,25 @@ def _initial_iterate(qs, weights, scheme, eps_pd):
     return sym_part(mean_root @ mean_root)
 
 
+def _gradient(weights, wi, mvecs, r, wbar):
+    """Gradient (1/n) sum_i w_i T_i - mean(w) I from the eigen-state at an iterate.
+
+    T_i = W^{-1} V_i diag(r_i) V_i^T W^{-1}. The contraction stays a plain
+    ``einsum``: a BLAS ``tensordot`` is about 9x faster at n = 400, d = 6,
+    but its different rounding moves fits that stall at the rounding floor
+    of the objective, and which of them count as converged changes with it.
+    """
+    p = np.einsum("i,iab,ib,icb->ac", weights, mvecs, r, mvecs) / weights.shape[0]
+    return sym_part(wi @ p @ wi) - wbar * np.eye(wi.shape[0])
+
+
 def _fit_mean(qs, weights, options):
     """Descent loop on pre-validated response stack ``qs``.
+
+    Returns the ``FitResult`` and the eigen-state (W^{-1}, V, r) at the
+    returned mean S: W = S^{1/2}, and V_i, r_i**2 are the eigenvectors and
+    eigenvalues of W Q_i W, so the transport map from S to Q_i is
+    W^{-1} V_i diag(r_i) V_i^T W^{-1} (see ``TransportBatch.from_state``).
 
     Raises ``IllConditionedError`` when the initial iterate is not positive
     definite at the solver threshold; every fit in the package runs through
@@ -289,8 +306,7 @@ def _fit_mean(qs, weights, options):
 
     for iterations in range(1, options.max_iters + 1):
         # gradient-like direction: average of weighted transport maps minus identity
-        p = np.einsum("i,iab,ib,icb->ac", weights, mvecs, r, mvecs) / n
-        g = sym_part(wi @ p @ wi) - wbar * eye
+        g = _gradient(weights, wi, mvecs, r, wbar)
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= options.grad_tol * np.trace(s):
             converged = True
@@ -322,8 +338,7 @@ def _fit_mean(qs, weights, options):
     if not converged:
         # state (wi, mvecs, r) is in sync with s, so re-evaluating the
         # gradient at the final iterate is cheap
-        p = np.einsum("i,iab,ib,icb->ac", weights, mvecs, r, mvecs) / n
-        g = sym_part(wi @ p @ wi) - wbar * eye
+        g = _gradient(weights, wi, mvecs, r, wbar)
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= options.grad_tol * np.trace(s):
             converged = True
@@ -335,13 +350,14 @@ def _fit_mean(qs, weights, options):
                 stacklevel=2,
             )
 
-    return FitResult(
+    fit = FitResult(
         mean=s,
         converged=converged,
         iterations=iterations,
         grad_norm=grad_norm,
         objective=obj,
     )
+    return fit, (wi, mvecs, r)
 
 
 def weighted_frechet_mean(responses, weights, options=None):
@@ -373,7 +389,7 @@ def weighted_frechet_mean(responses, weights, options=None):
         raise InvalidInputError("weights: non-finite entries")
     if weights.sum() <= 0:
         raise InvalidInputError("weights must have positive sum")
-    return _fit_mean(qs, weights, options)
+    return _fit_mean(qs, weights, options)[0]
 
 
 def regression_weights(x, covariates, moments):
@@ -414,7 +430,7 @@ def frechet_regress(data, x, moments=None, options=None):
     w = regression_weights(x, data.covariates, moments)
     if w.sum() <= 0:
         raise InvalidInputError("regression weights at x have nonpositive sum")
-    return _fit_mean(data.responses, w, options)
+    return _fit_mean(data.responses, w, options)[0]
 
 
 def hessian_operator(base, data, x, moments=None):

@@ -227,15 +227,38 @@ class SymOperator:
 # transport maps and base-point differentials, batched over targets
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _congruence_indices(d):
+    """Gather indices that give sym_coords(K^T B_j K) straight from the entries of K.
+
+    With basis element j on index pair (a, b) and coordinate c on (p, q),
+    the coordinate is f_j f_c (K_ap K_bq + K_aq K_bp), where f is 1/sqrt(2)
+    on diagonal pairs and 1 off the diagonal. Returns the flat indices of
+    K_ap, K_bq, K_aq, K_bp, each (m, m), and the (m, m) scale f_j f_c.
+    """
+    r, c = _offdiag_indices(d)
+    diag = np.arange(d)
+    first = np.concatenate([diag, r])
+    second = np.concatenate([diag, c])
+    f = np.where(np.arange(sym_dim(d)) < d, np.sqrt(0.5), 1.0)
+    a, b = first[:, None], second[:, None]
+    p, q = first[None, :], second[None, :]
+    out = (a * d + p, b * d + q, a * d + q, b * d + p, f[:, None] * f[None, :])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 class TransportBatch:
     """OT maps and base-point differentials from one base to many targets.
 
     Shares the eigendecompositions of the base and of the congruences
     base^{1/2} Q_i base^{1/2} between the maps and the differentials; this is
-    the workhorse behind the regression solver caches and the operator
-    assembly. Targets are assumed symmetric and positive semidefinite
-    (eigenvalues of the congruence are clipped at zero); the base is
-    validated strictly.
+    the workhorse behind the operator assembly. Targets are assumed
+    symmetric and positive semidefinite (eigenvalues of the congruence are
+    clipped at zero); the base is validated strictly. :meth:`from_state`
+    builds a batch from an eigen-state already at hand, such as the one the
+    Frechet mean solver holds at its final iterate.
     """
 
     def __init__(self, base, targets, eps_pd=EPS_PD):
@@ -247,18 +270,31 @@ class TransportBatch:
             raise InvalidInputError(
                 f"TransportBatch: targets shape {targets.shape} incompatible with base {base.shape}"
             )
-        self.d = base.shape[0]
-        self.w, self.wi = _sqrt_pair(vals, vecs)
-        mid = sym_part(self.w @ targets @ self.w)
-        mu, v = np.linalg.eigh(mid)
-        self.sqrt_mu = np.sqrt(np.clip(mu, 0.0, None))  # (k, d)
-        self.vecs = v                                   # (k, d, d)
+        w, wi = _sqrt_pair(vals, vecs)
+        mu, v = np.linalg.eigh(sym_part(w @ targets @ w))
+        self._set_state(wi, v, np.sqrt(np.clip(mu, 0.0, None)))
+
+    @classmethod
+    def from_state(cls, wi, vecs, sqrt_mu):
+        """Batch from an existing eigen-state, with no new eigendecomposition.
+
+        ``wi`` is base^{-1/2}; ``vecs[i]`` and ``sqrt_mu[i] ** 2`` are the
+        eigenvectors and eigenvalues of base^{1/2} Q_i base^{1/2}. The
+        caller vouches for the state; nothing is validated.
+        """
+        batch = cls.__new__(cls)
+        batch._set_state(wi, vecs, sqrt_mu)
+        return batch
+
+    def _set_state(self, wi, vecs, sqrt_mu):
+        self.d = wi.shape[0]
+        self.sqrt_mu = sqrt_mu   # (k, d)
+        self.k = wi @ vecs       # (k, d, d): K_i = base^{-1/2} V_i
 
     def maps(self):
-        """Transport maps T_i with T_i base T_i = Q_i, shape (k, d, d)."""
-        v, s = self.vecs, self.sqrt_mu
-        core = (v * s[:, None, :]) @ v.transpose(0, 2, 1)
-        return sym_part(self.wi @ core @ self.wi)
+        """Transport maps T_i = K_i diag(sqrt mu_i) K_i^T, with T_i base T_i = Q_i; (k, d, d)."""
+        k = self.k
+        return sym_part((k * self.sqrt_mu[:, None, :]) @ k.transpose(0, 2, 1))
 
     def dt_factors(self):
         """Factors (cong, gamma) of the base-point differentials.
@@ -273,27 +309,30 @@ class TransportBatch:
         shape (k, m), the Hadamard multipliers packed in coordinate order.
         The operator matrix of dT_i is -cong_i diag(gamma_i) cong_i^T.
         """
-        v, s = self.vecs, self.sqrt_mu
-        d = self.d
-        k = self.wi @ v                                 # (k, d, d)
+        d, s = self.d, self.sqrt_mu
         denom = s[:, :, None] + s[:, None, :]
         num = s[:, :, None] * s[:, None, :]
         gam = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
         idx_d = np.arange(d)
         r, c = _offdiag_indices(d)
         gamma = np.concatenate([gam[:, idx_d, idx_d], gam[:, r, c]], axis=-1)
-        basis = sym_basis(d)
-        kt = k.transpose(0, 2, 1)
-        prods = kt[:, None] @ basis[None] @ k[:, None]  # (k, m, d, d)
-        cong = sym_coords(prods)                        # (k, m, m)
-        return cong, gamma
+        ap, bq, aq, bp, scale = _congruence_indices(d)
+        # rows of the (d*d, k) transpose are contiguous, so the gathers are cheap;
+        # cong is returned as a (k, m, m) view of the (m, m, k) result
+        kt = self.k.reshape(self.k.shape[0], d * d).T.copy()
+        prods = kt[ap] * kt[bq]
+        prods += kt[aq] * kt[bp]
+        prods *= scale[:, :, None]
+        return prods.transpose(2, 0, 1), gamma
 
 
 def weighted_dt_matrix(cong, gamma, coeffs):
     """Matrix of sum_i coeffs[i] * dT_i from :meth:`TransportBatch.dt_factors`."""
     coeffs = np.asarray(coeffs, dtype=float)
-    scaled = cong * (coeffs[:, None, None] * gamma[:, None, :])
-    mat = -np.tensordot(scaled, cong, axes=([0, 2], [0, 2]))
+    m = cong.shape[-1]
+    by_basis = cong.transpose(1, 2, 0)  # (m, m, k); contiguous for dt_factors output
+    scaled = by_basis * (gamma * coeffs[:, None]).T
+    mat = -(scaled.reshape(m, -1) @ by_basis.reshape(m, -1).T)
     return sym_part(mat)
 
 

@@ -10,8 +10,15 @@ trailing block imputed away. The null distribution is a weighted chi-squared
 mixture whose weights are the eigenvalues of a kernel over the fitting half
 that mirrors the first-order expansion of the statistic, calibrated by Monte
 Carlo.
+
+Both the statistic and the kernel come from the transport maps at the
+imputed evaluation points. They are accumulated point by point from each
+fit's final solver state, in fixed-size blocks and in index order, so the
+transports are never stored: memory is O(n1^2) for the kernel plus one
+block of solver states, and results are bit-identical for any thread count.
 """
 
+import contextlib
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -28,9 +35,9 @@ from .frechet import (
     regression_weights,
 )
 from .manifold import (
-    SymOperator,
     TransportBatch,
     sym_coords,
+    sym_dim,
     sym_part,
     weighted_dt_matrix,
 )
@@ -118,58 +125,87 @@ def imputed_covariates(x, moments):
     return np.concatenate([y, impute_z(y, moments)], axis=-1)
 
 
-def _evaluation_fits(q, x_fit, moments, observed, imputed, options, threads, transports=None):
-    """Regression fits at observed and imputed rows, and the curvature at the latter.
+# Imputed points fitted and evaluated together: the solver states of one
+# block, O(_BLOCK n1 d^2) doubles, are all the evaluation holds besides the
+# n1 x n1 kernel.
+_BLOCK = 32
 
-    Every fit uses the responses ``q`` with weights from the fitting rows
-    ``x_fit`` and their ``moments``. At the k-th imputed fit the curvature
-    operator -(1/n) sum_i w_i dT_i is formed under that point's weights, and
-    the transport maps to every response are stored in ``transports[k]``
-    when an array is given. Fits are mutually independent, so ``threads`` >
-    1 spreads them over a thread pool; results are assembled in index order
-    and are bit-identical for any thread count. The curvature runs after
-    all fits, in index order: built inside each fit's task, it made
-    :func:`fit_first_half` about 20% slower at n = 800 (example 1, d = 6).
 
-    Returns (fits at ``observed``, fits at ``imputed``, curvature operators).
-    """
-    n, d = q.shape[0], q.shape[-1]
-    n_obs = len(observed)
-    imputed_weights = [regression_weights(x, x_fit, moments) for x in imputed]
-
-    def fit_at(j):
-        if j < n_obs:
-            w = regression_weights(observed[j], x_fit, moments)
-        else:
-            w = imputed_weights[j - n_obs]
-        return _fit_mean(q, w, options)
-
-    jobs = range(n_obs + len(imputed))
+@contextlib.contextmanager
+def _fit_pool(threads):
+    """Thread pool for the fits (None for one thread), with solver warnings silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(fit_at, jobs))
+                yield pool
         else:
-            results = [fit_at(j) for j in jobs]
-
-    curvatures = []
-    for k, (result, w) in enumerate(zip(results[n_obs:], imputed_weights)):
-        batch = TransportBatch(result.mean, q)
-        if transports is not None:
-            transports[k] = batch.maps()
-        cong, gamma = batch.dt_factors()
-        curvatures.append(SymOperator(d, -weighted_dt_matrix(cong, gamma, w / n)))
-    return results[:n_obs], results[n_obs:], curvatures
+            yield None
 
 
-def _discrepancy(means_observed, means_imputed, curvatures):
-    """Sum over evaluation points k of ||H_k (observed fit - imputed fit)||_F^2."""
+def _fit_rows(q, x_fit, moments, rows, options, pool):
+    """Regression fits at covariate ``rows``, in order, without solver state."""
+    def fit(x):
+        return _fit_mean(q, regression_weights(x, x_fit, moments), options)[0]
+
+    return [fit(x) for x in rows] if pool is None else list(pool.map(fit, rows))
+
+
+def _evaluation_fits(q, x_fit, moments, x_eval, x_hat, options, pool):
+    """Fits at the evaluation rows and at their imputations, streamed into the test.
+
+    Every fit uses the responses ``q`` with weights from the fitting rows
+    ``x_fit`` and their ``moments``. The imputed rows ``x_hat`` are fitted
+    in blocks of ``_BLOCK`` (on ``pool`` when given), and each point k is
+    then evaluated from its solver's final eigen-state, in index order:
+
+    - the transports T_ki to every response, whose centred coordinates,
+      scaled by the regression-weight gap dw_k = w(x_k) - w(xhat_k),
+      form the rows U_k that the kernel sum_k U_k U_k^T / n^2 adds up;
+    - the m x m matrix of the curvature H_k = -(1/n) sum_i w_i dT_i, which
+      gives the statistic term ||H_k (observed fit - imputed fit)||_F^2
+      and the smallest curvature eigenvalue, and is then dropped.
+
+    Reductions run in this fixed order, so results are bit-identical for
+    any thread count, and no n_eval x n x d x d transport stack exists.
+
+    Returns (fits at ``x_eval``, fits at ``x_hat``, statistic, kernel,
+    smallest curvature eigenvalue).
+    """
+    n, d = q.shape[0], q.shape[-1]
+    m = sym_dim(d)
+    fits_observed = _fit_rows(q, x_fit, moments, x_eval, options, pool)
+    dw_map = moments.require_cov_inv() @ (x_fit - moments.mean).T
+    gap = x_eval - x_hat
+    eye = np.eye(d)
+
+    def fit(w):
+        return _fit_mean(q, w, options)
+
+    fits_imputed = []
+    kernel = np.zeros((n, n))
     total = 0.0
-    for delta, hessian in zip(means_observed - means_imputed, curvatures):
-        image = hessian.apply(delta)
-        total += float(np.sum(image * image))
-    return total
+    min_eig = np.inf
+    for start in range(0, len(x_eval), _BLOCK):
+        rows = range(start, min(start + _BLOCK, len(x_eval)))
+        weights = [regression_weights(x_hat[k], x_fit, moments) for k in rows]
+        fitted = [fit(w) for w in weights] if pool is None else list(pool.map(fit, weights))
+        dw = gap[start : rows.stop] @ dw_map
+        u = np.empty((n, len(rows), m))
+        for j, (k, w, (result, state)) in enumerate(zip(rows, weights, fitted)):
+            batch = TransportBatch.from_state(*state)
+            cong, gamma = batch.dt_factors()
+            hessian = -weighted_dt_matrix(cong, gamma, w / n)
+            image = hessian @ sym_coords(fits_observed[k].mean - result.mean)
+            total += float(image @ image)
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(hessian)[0]))
+            u[:, j] = dw[j][:, None] * sym_coords(batch.maps() - eye)
+            fits_imputed.append(result)
+        flat = u.reshape(n, -1)
+        kernel += flat @ flat.T
+    kernel = sym_part(kernel / (n * n))
+    kernel.flags.writeable = False
+    return fits_observed, fits_imputed, total, kernel, min_eig
 
 
 def _means(results):
@@ -178,18 +214,19 @@ def _means(results):
 
 @dataclass
 class FirstHalfFit:
-    """The first-half regression fits that the statistic and the kernel reuse.
+    """The first-half regression fits and what the test builds from them.
 
     ``means_first[k]`` is the fit at the k-th first-half covariate row,
     ``means_second[k]`` the fit at the k-th second-half row, and
     ``means_second_imputed[k]`` the fit at that row with the trailing block
-    imputed from the retained block (``xhat_second[k]``).
-    ``hessians_imputed[k]`` is the curvature operator at
-    ``means_second_imputed[k]`` under the imputed-point weights, and
-    ``transports_imputed[k, i]`` the transport map from that base to the
-    i-th first-half response. All fits use first-half responses and
-    first-half moments only; ``n_fits`` and ``nonconverged`` count all of
-    them.
+    imputed from the retained block (``xhat_second[k]``). ``discrepancy``
+    is the statistic before its reliability gate and ``kernel`` the n1 x n1
+    calibration kernel; both are accumulated point by point while the
+    imputed fits run, so the transport maps and curvature operators at the
+    imputed points are never stored and the memory held is O(n1^2).
+    ``min_hessian_eigenvalue`` is the smallest curvature eigenvalue over
+    those points. All fits use first-half responses and first-half
+    moments only; ``n_fits`` and ``nonconverged`` count all of them.
     """
 
     split: SplitDataset
@@ -198,8 +235,8 @@ class FirstHalfFit:
     means_first: np.ndarray
     means_second: np.ndarray
     means_second_imputed: np.ndarray
-    hessians_imputed: list
-    transports_imputed: np.ndarray
+    discrepancy: float
+    kernel: np.ndarray
     n_fits: int
     nonconverged: int
     min_hessian_eigenvalue: float
@@ -217,34 +254,32 @@ def fit_first_half(split, options=None, threads=1):
     q1 = split.first_responses
     x1 = split.first_covariates
     xhat2 = imputed_covariates(split.second_covariates, m)
-    observed = np.concatenate([x1, split.second_covariates], axis=0)
-    transports = np.empty((split.n2, split.n1, split.data.d, split.data.d))
-    fits_observed, fits_imputed, hessians = _evaluation_fits(
-        q1, x1, m, observed, xhat2, options, threads, transports
-    )
-    results = fits_observed + fits_imputed
-    means = _means(fits_observed)
-    min_eig = min((float(np.linalg.eigvalsh(h.matrix)[0]) for h in hessians), default=np.inf)
+    with _fit_pool(threads) as pool:
+        fits_first = _fit_rows(q1, x1, m, x1, options, pool)
+        fits_second, fits_imputed, discrepancy, kernel, min_eig = _evaluation_fits(
+            q1, x1, m, split.second_covariates, xhat2, options, pool
+        )
+    results = fits_first + fits_second + fits_imputed
     return FirstHalfFit(
         split=split,
         options=options,
         xhat_second=xhat2,
-        means_first=means[: split.n1],
-        means_second=means[split.n1 :],
+        means_first=_means(fits_first),
+        means_second=_means(fits_second),
         means_second_imputed=_means(fits_imputed),
-        hessians_imputed=hessians,
-        transports_imputed=transports,
+        discrepancy=discrepancy,
+        kernel=kernel,
         n_fits=len(results),
-        nonconverged=sum(1 for r in results if not r.converged),
-        min_hessian_eigenvalue=float(min_eig),
+        nonconverged=sum(not r.converged for r in results),
+        min_hessian_eigenvalue=min_eig,
     )
 
 
-def _check_reliability(fit, max_nonconverged):
-    frac = fit.nonconverged / max(fit.n_fits, 1)
+def _check_reliability(nonconverged, n_fits, max_nonconverged):
+    frac = nonconverged / max(n_fits, 1)
     if frac > max_nonconverged:
         raise UnreliableResultError(
-            f"{fit.nonconverged} of {fit.n_fits} regression fits did not converge "
+            f"{nonconverged} of {n_fits} regression fits did not converge "
             f"(fraction {frac:.3f} exceeds {max_nonconverged})"
         )
 
@@ -258,12 +293,12 @@ def test_statistic(fit, max_nonconverged=0.05):
     ``UnreliableResultError`` when too many underlying fits failed to
     converge.
     """
-    _check_reliability(fit, max_nonconverged)
-    return _discrepancy(fit.means_second, fit.means_second_imputed, fit.hessians_imputed)
+    _check_reliability(fit.nonconverged, fit.n_fits, max_nonconverged)
+    return fit.discrepancy
 
 
 def kernel_matrix(fit):
-    """Calibration kernel over the fitting half, shape (n1, n1).
+    """Calibration kernel over the fitting half, shape (n1, n1), read-only.
 
     Mirrors the expansion of the statistic itself: the influence of fitting
     sample i at evaluation point k is the regression-weight gap between the
@@ -271,20 +306,10 @@ def kernel_matrix(fit):
     the imputed-point base toward response i. Entry (i, j) sums the
     Frobenius inner products of these influences over evaluation points, so
     the total of the clipped eigenvalues tracks the sampling expectation of
-    the statistic. Symmetric PSD by construction.
+    the statistic. Symmetric PSD by construction; :func:`fit_first_half`
+    accumulates it.
     """
-    split = fit.split
-    m = split.moments
-    n1 = split.n1
-    inv = m.require_cov_inv()
-    x1c = split.first_covariates - m.mean
-    gap = split.second_covariates - fit.xhat_second
-    dw = gap @ inv @ x1c.T  # (n2, n1) weight differences
-    eye = np.eye(split.data.d)
-    stacks = sym_coords(fit.transports_imputed - eye)  # (n2, n1, m)
-    u = dw[:, :, None] * stacks
-    kern = np.tensordot(u, u, axes=([0, 2], [0, 2])) / (n1 * n1)
-    return sym_part(kern)
+    return fit.kernel
 
 
 def null_eigenvalues(kernel):
@@ -477,6 +502,10 @@ def no_split_statistic(data, options=None):
     every sample used for fitting, imputation and evaluation, so its null
     distribution is not the calibrated mixture; no p-value is defined for
     it. Useful for measuring what the half split costs.
+
+    Raises ``UnreliableResultError`` when more than
+    ``options.max_nonconverged`` of its 2n fits failed to converge, as
+    :func:`run_partial_test` does.
     """
     options = options or TestOptions()
     if data.p1 < 1 or data.p1 >= data.p:
@@ -486,8 +515,13 @@ def no_split_statistic(data, options=None):
         )
     x = data.covariates
     moments = CovariateMoments.from_covariates(x, data.p1)
-    fits_observed, fits_imputed, hessians = _evaluation_fits(
-        data.responses, x, moments, x, imputed_covariates(x, moments),
-        options.solver, options.threads,
+    with _fit_pool(options.threads) as pool:
+        fits_observed, fits_imputed, discrepancy, _, _ = _evaluation_fits(
+            data.responses, x, moments, x, imputed_covariates(x, moments),
+            options.solver, pool,
+        )
+    results = fits_observed + fits_imputed
+    _check_reliability(
+        sum(not r.converged for r in results), len(results), options.max_nonconverged
     )
-    return _discrepancy(_means(fits_observed), _means(fits_imputed), hessians)
+    return discrepancy

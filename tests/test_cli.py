@@ -1,12 +1,15 @@
 import csv
+import functools
 import json
 import os
 
 import numpy as np
 import pytest
 
+from bwfrechet import cli
 from bwfrechet.cli import main
 from bwfrechet.dataio import dataset_checksum, load_result
+from bwfrechet.frechet import SolverOptions
 
 
 def run_cli(*argv):
@@ -176,6 +179,22 @@ def test_exit_code_unreliable(tmp_path, capsys):
     # the qq study completes zero trials and reports an unreliable result
     cfg = write_config(tmp_path, n=4, trials=2)
     rc = run_cli("qq", "--config", str(cfg), "--out", str(tmp_path / "qq"))
+    assert rc == 4
+    assert "unreliable result" in capsys.readouterr().err
+
+
+def test_exit_code_unreliable_no_split(tmp_path, monkeypatch, capsys):
+    # one solver step at an unreachable tolerance leaves every fit
+    # unconverged; the no-split diagnostic must honour --max-nonconverged
+    data_path = tmp_path / "ex2.json"
+    rc = run_cli(
+        "simulate", "--example", "2", "--n", "16", "--p-y", "2", "--p-z", "1",
+        "--d", "4", "--seed", "5", "--out", str(data_path),
+    )
+    assert rc == 0
+    starved = SolverOptions(max_iters=1, grad_tol=1e-14)
+    monkeypatch.setattr(cli, "TestOptions", functools.partial(cli.TestOptions, solver=starved))
+    rc = run_cli("test", "--data", str(data_path), "--diag-no-split", "--max-nonconverged", "0")
     assert rc == 4
     assert "unreliable result" in capsys.readouterr().err
 

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+import bwfrechet
 from bwfrechet import experiments as ex
 from bwfrechet.errors import InvalidInputError
 from bwfrechet.experiments import (
@@ -38,6 +43,17 @@ def tiny_config(**kw):
 # ---------------------------------------------------------------------------
 # seeding and config
 # ---------------------------------------------------------------------------
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the package's import time; only the study
+    # helpers that need it load it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bwfrechet.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bwfrechet, bwfrechet.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_trial_seeds_pure_function():

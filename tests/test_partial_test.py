@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,9 +14,12 @@ from bwfrechet.frechet import (
 )
 from bwfrechet.manifold import (
     SymOperator,
+    TransportBatch,
     ot_map,
     ot_map_differential,
+    sym_coords,
     sym_dim,
+    weighted_dt_matrix,
 )
 # the module is imported as a whole because two of its public names start
 # with Test/test_ and would otherwise be collected by pytest
@@ -281,6 +285,93 @@ def test_kernel_matrix_matches_direct_loops():
     assert vals[0] >= -1e-10 * max(np.trace(got), 1e-12)
 
 
+def stored_transport_reference(fit):
+    """Statistic, kernel and smallest curvature eigenvalue from stored transports.
+
+    The formulas the evaluation stage streams, written out with every
+    n2 x n1 transport and every m x m curvature operator held at once: the
+    kernel from ``TransportBatch.maps()`` and the statistic through
+    ``SymOperator``, at the program's own fits, with each transport batch
+    built by a fresh eigendecomposition of its base.
+    """
+    split = fit.split
+    m = split.moments
+    n1, d = split.n1, split.data.d
+    q1 = split.first_responses
+    inv = np.linalg.inv(m.cov)
+    x1c = split.first_covariates - m.mean
+    transports = np.stack(
+        [TransportBatch(base, q1).maps() for base in fit.means_second_imputed]
+    )
+    dw = (split.second_covariates - fit.xhat_second) @ inv @ x1c.T
+    u = dw[:, :, None] * sym_coords(transports - np.eye(d))
+    kernel = np.tensordot(u, u, axes=([0, 2], [0, 2])) / (n1 * n1)
+    statistic = 0.0
+    min_eig = np.inf
+    for k, base in enumerate(fit.means_second_imputed):
+        w = 1.0 + x1c @ inv @ (fit.xhat_second[k] - m.mean)
+        cong, gamma = TransportBatch(base, q1).dt_factors()
+        hessian = SymOperator(d, -weighted_dt_matrix(cong, gamma, w / n1))
+        image = hessian.apply(fit.means_second[k] - base)
+        statistic += float(np.sum(image * image))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(hessian.matrix)[0]))
+    return statistic, kernel, min_eig
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimConfig(example=1, n=100, p_y=2, p_z=2, d=4, delta_z=0.1, seed=91),
+        SimConfig(example=2, n=90, p_y=2, p_z=2, d=4, delta_z=0.1, seed=92),
+    ],
+    ids=["shared-eigenbasis", "generic"],
+)
+def test_streamed_evaluation_matches_stored_transport_oracle(config):
+    # n2 = 50 and 45: neither is a multiple of the evaluation block size
+    split = split_dataset(generate(config)[0])
+    assert split.n2 % pt._BLOCK != 0
+    fit = fit_first_half(split, QUIET)
+    statistic, kernel, min_eig = stored_transport_reference(fit)
+    got_kernel = kernel_matrix(fit)
+    scale = np.abs(kernel).max()
+    assert_allclose(pt.test_statistic(fit, max_nonconverged=1.0), statistic, rtol=1e-10)
+    assert_allclose(got_kernel, kernel, rtol=1e-10, atol=1e-13 * scale)
+    lam = null_eigenvalues(kernel)
+    assert_allclose(null_eigenvalues(got_kernel), lam, rtol=1e-10, atol=1e-13 * lam[0])
+    assert_allclose(fit.min_hessian_eigenvalue, min_eig, rtol=1e-10)
+
+
+def test_evaluation_bit_identical_across_threads():
+    # n2 = 45 leaves a short last block
+    data = generate(SimConfig(example=2, n=90, p_y=2, p_z=2, d=4, delta_z=0.1, seed=93))[0]
+    split = split_dataset(data)
+    assert split.n2 % pt._BLOCK != 0
+    one = fit_first_half(split, QUIET, threads=1)
+    three = fit_first_half(split, QUIET, threads=3)
+    assert pt.test_statistic(three, 1.0) == pt.test_statistic(one, 1.0)
+    assert np.array_equal(kernel_matrix(three), kernel_matrix(one))
+    assert three.min_hessian_eigenvalue == one.min_hessian_eigenvalue
+    assert np.array_equal(three.means_second_imputed, one.means_second_imputed)
+
+
+def test_evaluation_memory_is_bounded():
+    # storing the n2 x n1 transports peaked at 40.7 MB here; streaming holds
+    # one block of solver states and the n1 x n1 kernel
+    data = small_example(n=400, p_y=3, p_z=3, d=6, delta=0.0, seed=95)
+    split = split_dataset(data)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fit = fit_first_half(split)
+        pt.test_statistic(fit, max_nonconverged=1.0)
+        kernel_matrix(fit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6, f"evaluation stage peaked at {peak / 1e6:.1f} MB"
+
+
 def test_null_eigenvalues_identities():
     assert_allclose(null_eigenvalues(np.zeros((4, 4))), np.zeros(4), atol=0)
     assert_allclose(null_eigenvalues(np.eye(3)), np.ones(3), atol=0)
@@ -468,6 +559,15 @@ def test_no_split_statistic_matches_straight_line_oracle(data):
     # threading only changes the work schedule, not the result
     threaded = pt.TestOptions(mc_draws=2000, max_nonconverged=1.0, solver=QUIET, threads=3)
     assert no_split_statistic(data, threaded) == value
+
+
+def test_no_split_statistic_reliability_gate():
+    data = generate(SimConfig(example=2, n=40, p_y=3, p_z=3, d=6, seed=1))[0]
+    starved = SolverOptions(max_iters=1, grad_tol=1e-14)
+    with pytest.raises(UnreliableResultError):
+        no_split_statistic(data, pt.TestOptions(max_nonconverged=0.0, solver=starved))
+    tolerant = pt.TestOptions(max_nonconverged=1.0, solver=starved)
+    assert np.isfinite(no_split_statistic(data, tolerant))
 
 
 def test_no_split_statistic_rejects_vacuous_partition():
