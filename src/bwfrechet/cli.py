@@ -290,8 +290,8 @@ def _cmd_qq(args):
     if not stats:
         raise UnreliableResultError("no trial completed; cannot build quantile pairs")
     lam = pooled_eigenvalues(spectra)
-    pairs = qq_data(stats, lam, mc_draws=config.mc_draws, seed=config.seed)
-    ks = mixture_ks_distance(stats, lam, mc_draws=config.mc_draws, seed=config.seed)
+    pairs = qq_data(stats, lam)
+    ks = mixture_ks_distance(stats, lam)
     os.makedirs(args.out, exist_ok=True)
     write_table(
         os.path.join(args.out, "qq.csv"),
@@ -385,8 +385,16 @@ def build_parser():
     test.add_argument("--data", required=True)
     test.add_argument("--p1", type=int, default=None, help="override the retained-block size")
     test.add_argument("--alpha", type=float, default=0.05)
-    test.add_argument("--mc-draws", dest="mc_draws", type=int, default=100_000)
-    test.add_argument("--seed", type=int, default=None)
+    test.add_argument(
+        "--mc-draws", dest="mc_draws", type=int, default=100_000,
+        help="accepted for compatibility and echoed in the result; no effect, "
+        "the mixture calibration is exact",
+    )
+    test.add_argument(
+        "--seed", type=int, default=None,
+        help="accepted for compatibility and echoed in the result; no effect "
+        "(--permute-seed randomizes the split)",
+    )
     test.add_argument("--threads", type=int, default=None)
     test.add_argument("--permute-seed", dest="permute_seed", type=int, default=None)
     test.add_argument(

@@ -1,6 +1,7 @@
 """Monte Carlo studies of the partial-effect test and the regression fit.
 
-Every trial derives its data seed and its calibration seed from the study
+Every trial derives its data seed (and a calibration seed, echoed in the
+test options but unused now that the calibration is exact) from the study
 root seed and the trial index alone, so trials are reproducible one by one,
 the same trial sees the same data across effect sizes (a power curve at zero
 effect reproduces the size study exactly), and, combined with the
@@ -20,8 +21,9 @@ from .errors import BwfrechetError, InvalidInputError
 from .frechet import CovariateMoments, SolverOptions, frechet_regress
 from .partial_test import (
     TestOptions,
-    _mixture_draws,
     imputed_covariates,
+    mixture_quantile,
+    p_value,
     run_partial_test,
 )
 from .simgen import SimConfig, generate, population_qstar
@@ -29,7 +31,11 @@ from .simgen import SimConfig, generate, population_qstar
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared configuration for the simulation studies."""
+    """Shared configuration for the simulation studies.
+
+    ``mc_draws`` is kept for compatibility with the former Monte Carlo
+    calibration and has no effect: every test is calibrated exactly.
+    """
 
     example: int = 1
     n: int = 200
@@ -393,28 +399,32 @@ def pooled_eigenvalues(spectra):
     return np.asarray(spectra, dtype=float).mean(axis=0)
 
 
-def qq_data(statistics, lambdas, mc_draws=100_000, seed=0):
-    """Quantile pairs (mixture reference, observed statistic), ascending.
-
-    Reference quantiles are taken at levels (i - 1/2) / N from a seeded
-    Monte Carlo sample of the weighted chi-squared mixture.
-    """
+def _finite_statistics(statistics):
     statistics = np.asarray(statistics, dtype=float).reshape(-1)
     if statistics.size < 1 or not np.all(np.isfinite(statistics)):
         raise InvalidInputError("statistics must be a nonempty finite array")
-    draws = _mixture_draws(lambdas, mc_draws, seed)
-    levels = (np.arange(1, statistics.size + 1) - 0.5) / statistics.size
-    reference = np.quantile(draws, levels)
-    observed = np.sort(statistics)
+    return statistics
+
+
+def qq_data(statistics, lambdas, mc_draws=100_000, seed=0):
+    """Quantile pairs (mixture reference, observed statistic), ascending.
+
+    Reference quantiles are the exact upper-(1 - level) quantiles of the
+    weighted chi-squared mixture at levels (i - 1/2) / N. ``mc_draws`` and
+    ``seed`` are accepted for compatibility and are ignored.
+    """
+    observed = np.sort(_finite_statistics(statistics))
+    levels = (np.arange(1, observed.size + 1) - 0.5) / observed.size
+    reference = mixture_quantile(lambdas, 1.0 - levels)
     return np.column_stack([reference, observed])
 
 
 def mixture_ks_distance(statistics, lambdas, mc_draws=100_000, seed=0):
-    """Two-sample Kolmogorov-Smirnov distance to the reference mixture."""
-    statistics = np.asarray(statistics, dtype=float).reshape(-1)
-    if statistics.size < 1 or not np.all(np.isfinite(statistics)):
-        raise InvalidInputError("statistics must be a nonempty finite array")
-    from scipy import stats  # deferred, as in clopper_pearson
+    """One-sample Kolmogorov-Smirnov distance to the exact mixture CDF.
 
-    draws = _mixture_draws(lambdas, mc_draws, seed)
-    return float(stats.ks_2samp(statistics, draws).statistic)
+    ``mc_draws`` and ``seed`` are accepted for compatibility and are ignored.
+    """
+    observed = np.sort(_finite_statistics(statistics))
+    cdf = 1.0 - p_value(observed, lambdas)
+    ranks = np.arange(1, observed.size + 1) / observed.size
+    return float(max((ranks - cdf).max(), (cdf - ranks + 1.0 / observed.size).max()))

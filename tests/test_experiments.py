@@ -21,7 +21,7 @@ from bwfrechet.experiments import (
     run_size_study,
     trial_seeds,
 )
-from bwfrechet.partial_test import _mixture_draws
+from mixture_oracle import mixture_draws
 
 
 def tiny_config(**kw):
@@ -46,14 +46,16 @@ def tiny_config(**kw):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the package's import time; only the study
-    # helpers that need it load it
+    # scipy.stats alone was most of the package's import time, and
+    # scipy.integrate, scipy.optimize or scipy.special would each add a
+    # large share of it; only the study helper that needs scipy loads it
     src = os.path.dirname(os.path.dirname(os.path.abspath(bwfrechet.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, bwfrechet, bwfrechet.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, bwfrechet, bwfrechet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_trial_seeds_pure_function():
@@ -184,7 +186,7 @@ def test_pooled_eigenvalues_rankwise_mean():
 
 def test_qq_data_shape_and_order():
     lam = np.array([2.0, 1.0, 0.5])
-    sample = _mixture_draws(lam, 1000, seed=99)[:400]
+    sample = mixture_draws(lam, 1000, seed=99)[:400]
     pairs = qq_data(sample, lam, mc_draws=20_000, seed=1)
     assert pairs.shape == (400, 2)
     assert np.all(np.diff(pairs[:, 0]) >= 0)
@@ -199,10 +201,23 @@ def test_qq_data_shape_and_order():
 
 def test_mixture_ks_distance_separates_matched_from_scaled():
     lam = np.array([2.0, 1.0, 0.5])
-    sample = _mixture_draws(lam, 1000, seed=7)[:500]
+    sample = mixture_draws(lam, 1000, seed=7)[:500]
     near = mixture_ks_distance(sample, lam, mc_draws=50_000, seed=2)
     far = mixture_ks_distance(3.0 * sample, lam, mc_draws=50_000, seed=2)
     assert near < 0.08
     assert far > 0.3
     with pytest.raises(InvalidInputError):
         mixture_ks_distance([np.inf], lam)
+
+
+def test_qq_and_ks_use_the_exact_law():
+    # equal weights are a scaled chi-squared law, which scipy knows exactly
+    lam = np.full(3, 0.5)
+    sample = mixture_draws(lam, 1000, seed=5)[:300]
+    pairs = qq_data(sample, lam)
+    levels = (np.arange(1, 301) - 0.5) / 300
+    assert_allclose(pairs[:, 0], 0.5 * stats.chi2.ppf(levels, 3), rtol=1e-10)
+    ks = mixture_ks_distance(sample, lam, mc_draws=1, seed=123)
+    reference = stats.kstest(sample, stats.chi2(3, scale=0.5).cdf).statistic
+    assert ks == pytest.approx(reference, abs=1e-12)
+    assert mixture_ks_distance(sample, lam) == ks

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from bwfrechet.errors import IllConditionedError, InvalidInputError, UnreliableResultError
 from bwfrechet.frechet import (
@@ -38,6 +39,7 @@ from bwfrechet.partial_test import (
     split_dataset,
 )
 from bwfrechet.simgen import SimConfig, generate, haar_orthogonal
+from mixture_oracle import mixture_draws, standard_error
 
 QUIET = SolverOptions(grad_tol=1e-9)
 
@@ -404,25 +406,98 @@ def test_mixture_quantile_chi1_oracle():
     assert abs(p - 0.05) <= 0.005
 
 
+@pytest.mark.parametrize("r", [1, 2, 5])
+def test_equal_weights_match_the_chi2_law(r):
+    # r equal weights lambda give lambda * chi2_r
+    lam = np.full(r, 0.7)
+    x = 0.7 * stats.chi2.ppf([1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1 - 1e-6], r)
+    assert_allclose(p_value(x, lam), stats.chi2.sf(x / 0.7, r), rtol=0, atol=1e-10)
+    # the upper tail keeps its relative accuracy
+    far = 0.7 * stats.chi2.isf(1e-12, r)
+    assert p_value(far, lam) == pytest.approx(1e-12, rel=1e-10)
+    alphas = np.array([0.9, 0.5, 0.1, 0.05, 0.01, 1e-4])
+    assert_allclose(mixture_quantile(lam, alphas), 0.7 * stats.chi2.isf(alphas, r), rtol=1e-10)
+
+
+def example1_spectrum():
+    data = generate(SimConfig(example=1, n=200, p_y=3, p_z=3, d=6, seed=1))[0]
+    return run_partial_test(data).eigenvalues
+
+
+def test_exact_mixture_within_monte_carlo_error_of_oracle():
+    lam = example1_spectrum()
+    draws = 1_000_000
+    sample = mixture_draws(lam, draws, seed=11)
+    alphas = np.array([0.5, 0.1, 0.05, 0.01])
+    for alpha, q in zip(alphas, mixture_quantile(lam, alphas)):
+        freq = float(np.mean(sample >= q))
+        assert abs(freq - alpha) <= 5.0 * standard_error(alpha, draws)
+    for t in (np.median(sample), np.quantile(sample, 0.97)):
+        freq = float(np.mean(sample >= t))
+        assert abs(p_value(t, lam) - freq) <= 5.0 * standard_error(freq, draws)
+
+
+def test_quantile_round_trips_through_the_p_value():
+    spectra = [np.array([1.0]), np.array([2.0, 1.0, 0.5]), 0.5 ** np.arange(30),
+               np.concatenate([[3.0], np.full(200, 0.01)])]
+    alphas = np.array([0.999, 0.5, 0.05, 1e-3, 1e-8])
+    for lam in spectra:
+        assert_allclose(p_value(mixture_quantile(lam, alphas), lam), alphas, rtol=1e-10)
+
+
 def test_mixture_homogeneity_and_degenerate_cases():
     lam = np.array([0.8, 0.3, 0.1])
     q1 = mixture_quantile(lam, 0.1, draws=5000, seed=3)
     q2 = mixture_quantile(2.5 * lam, 0.1, draws=5000, seed=3)
     assert_allclose(q2, 2.5 * q1, rtol=1e-12)
-    assert mixture_quantile(np.zeros(4), 0.05, draws=2000, seed=0) == 0.0
     assert p_value(0.0, lam, draws=2000, seed=1) == 1.0
     # decreasing in the statistic
     ps = [p_value(t, lam, draws=5000, seed=2) for t in (0.1, 1.0, 5.0)]
     assert ps[0] >= ps[1] >= ps[2]
 
 
+def test_all_zero_weights_are_a_point_mass_at_zero():
+    zeros = np.zeros(4)
+    assert mixture_quantile(zeros, 0.05) == 0.0
+    assert p_value(0.0, zeros) == 1.0
+    assert p_value(1e-3, zeros) == 0.0
+
+
+def test_calibration_ignores_seed_and_draws():
+    lam = np.array([2.0, 1.0, 0.5, 0.25])
+    assert mixture_quantile(lam, 0.05, 10, 1) == mixture_quantile(lam, 0.05, 1_000_000, 99)
+    assert p_value(3.0, lam, 10, 1) == p_value(3.0, lam, 1_000_000, 99)
+    data = small_example(n=40, delta=0.0, seed=71)
+    a = run_partial_test(data, pt.TestOptions(mc_draws=2000, seed=1))
+    b = run_partial_test(data, pt.TestOptions(mc_draws=500_000, seed=8))
+    assert (a.p_value, a.quantile, a.reject) == (b.p_value, b.quantile, b.reject)
+
+
+def test_array_arguments_match_scalar_calls():
+    lam = np.array([2.0, 1.0, 0.5])
+    alphas = np.array([0.2, 0.05])
+    scalar = [mixture_quantile(lam, a) for a in alphas]
+    assert_allclose(mixture_quantile(lam, alphas), scalar, rtol=1e-14)
+    stats_ = np.array([[0.5, 3.0], [7.0, 0.0]])
+    got = p_value(stats_, lam)
+    assert got.shape == (2, 2)
+    assert_allclose(got.ravel(), [p_value(t, lam) for t in stats_.ravel()], rtol=1e-14)
+
+
+def test_monte_carlo_oracle_refuses_too_few_draws():
+    with pytest.raises(ValueError):
+        mixture_draws(np.array([1.0]), 10, seed=0)
+
+
 def test_mixture_validation():
     with pytest.raises(InvalidInputError):
         mixture_quantile(np.array([-0.1, 1.0]), 0.05, draws=2000, seed=0)
     with pytest.raises(InvalidInputError):
-        mixture_quantile(np.array([1.0]), 0.05, draws=10, seed=0)
+        mixture_quantile(np.array([np.nan, 1.0]), 0.05)
     with pytest.raises(InvalidInputError):
         mixture_quantile(np.array([1.0]), 1.5, draws=2000, seed=0)
+    with pytest.raises(InvalidInputError):
+        mixture_quantile(np.array([1.0]), np.array([0.5, 0.0]))
     with pytest.raises(InvalidInputError):
         p_value(np.inf, np.array([1.0]), draws=2000, seed=0)
 
@@ -496,7 +571,7 @@ def test_run_partial_test_fields_and_reproducibility():
     assert res4.statistic == res.statistic
     assert res4.p_value == res.p_value
     assert np.array_equal(res4.eigenvalues, res.eigenvalues)
-    # quantile consistent with the public helpers on the same draws
+    # the same exact calibration as the public helpers
     assert res.quantile == mixture_quantile(res.eigenvalues, 0.05, 20_000, 9)
     assert res.p_value == p_value(res.statistic, res.eigenvalues, 20_000, 9)
 
