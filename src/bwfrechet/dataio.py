@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .frechet import Dataset
+from .manifold import EPS_PD
 
 DATASET_FORMAT = "bwfrechet-dataset"
 RESULT_FORMAT = "bwfrechet-result"
@@ -129,7 +130,7 @@ def _check_header(payload, where):
 
 def _precheck_responses(responses, sample_ids, where):
     vals = np.linalg.eigvalsh(responses)
-    bad = vals[:, 0] <= 1e-10 * np.maximum(vals[:, -1], 0.0)
+    bad = vals[:, 0] <= EPS_PD * np.maximum(vals[:, -1], 0.0)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise InvalidInputError(

@@ -11,6 +11,7 @@ from bwfrechet.frechet import (
     CovariateMoments,
     Dataset,
     SolverOptions,
+    regression_weights,
     weighted_frechet_mean,
 )
 from bwfrechet.manifold import (
@@ -560,7 +561,7 @@ def test_run_partial_test_fields_and_reproducibility():
     assert np.all(res.eigenvalues >= 0.0)
     assert np.all(np.diff(res.eigenvalues) <= 0.0)
     assert res.mc_draws == 20_000 and res.seed == 9
-    assert res.diagnostics.n_fits == 3 * 20
+    assert res.diagnostics.n_fits == 2 * 20
     # rerun: bit-identical
     res2 = run_partial_test(data, options)
     assert res2.statistic == res.statistic
@@ -608,6 +609,37 @@ def test_run_partial_test_unreliable_fits():
     res = run_partial_test(data, tolerant)
     assert np.isfinite(res.statistic)
     assert res.diagnostics.nonconverged > 0
+    # the gate counts only the fits at the evaluation half's observed and
+    # imputed rows
+    assert res.diagnostics.n_fits == 2 * res.diagnostics.n2
+    assert res.diagnostics.nonconverged <= res.diagnostics.n_fits
+
+
+def test_fit_first_half_runs_only_the_evaluation_fits(monkeypatch):
+    # odd n: n1 = 21 fitting rows, n2 = 20 evaluation rows
+    split = split_dataset(small_example(n=41, seed=85))
+    assert (split.n1, split.n2) == (21, 20)
+    calls = []
+    solver = pt._fit_mean
+
+    def counted(*args):
+        calls.append(1)
+        return solver(*args)
+
+    monkeypatch.setattr(pt, "_fit_mean", counted)
+    fit = fit_first_half(split)
+    assert len(calls) == 2 * split.n2 == fit.n_fits
+    # the first-half fits run only when read, and match the public solver
+    first = fit.means_first
+    assert len(calls) == 2 * split.n2 + split.n1
+    assert first.shape == (split.n1,) + split.first_responses.shape[1:]
+    for k, x in enumerate(split.first_covariates):
+        w = regression_weights(x, split.first_covariates, split.moments)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert np.array_equal(first[k], weighted_frechet_mean(split.first_responses, w).mean)
+    assert fit.means_first is first
+    assert len(calls) == 2 * split.n2 + split.n1
 
 
 def test_test_options_validation():
