@@ -40,7 +40,7 @@ from .experiments import (
     run_size_study,
 )
 from .frechet import frechet_regress
-from .partial_test import TestOptions, no_split_statistic, run_partial_test
+from .partial_test import TestOptions, run_partial_test
 from .simgen import SimConfig, generate
 
 
@@ -129,27 +129,6 @@ def _cmd_fit(args):
 
 def _cmd_test(args):
     data = load_dataset(args.data, p1=args.p1)
-    if args.diag_no_split:
-        options = TestOptions(
-            alpha=args.alpha,
-            mc_draws=args.mc_draws,
-            seed=_default_seed(args.seed),
-            threads=_default_threads(args.threads),
-            max_nonconverged=args.max_nonconverged,
-        )
-        statistic = no_split_statistic(data, options)
-        print(
-            f"test (no-split diagnostic): statistic={statistic:.6g}; "
-            "this statistic reuses every sample and has no calibrated null, "
-            "so no p-value is reported"
-        )
-        if args.out:
-            body = {
-                "statistic": float(statistic),
-                "input_sha256": dataset_checksum(args.data),
-            }
-            write_result(args.out, "no-split-diagnostic", body)
-        return 0
     options = TestOptions(
         alpha=args.alpha,
         mc_draws=args.mc_draws,
@@ -231,6 +210,8 @@ def _cmd_size(args):
     result = run_size_study(config)
     os.makedirs(args.out, exist_ok=True)
     write_table(os.path.join(args.out, "records.csv"), _RECORD_HEADER, _records_rows(result.records))
+    if not result.completed:
+        raise UnreliableResultError("no trial completed; see the errors in records.csv")
     summary = {
         "command": "size",
         "config": dataclasses.asdict(config),
@@ -260,6 +241,11 @@ def _cmd_power(args):
     write_table(
         os.path.join(args.out, "records.csv"), ["delta"] + _RECORD_HEADER, rows
     )
+    empty = [f"{point.delta:g}" for point in result.points if not point.completed]
+    if empty:
+        raise UnreliableResultError(
+            f"no trial completed at delta {', '.join(empty)}; see the errors in records.csv"
+        )
     summary = {
         "command": "power",
         "config": dataclasses.asdict(config),
@@ -399,12 +385,6 @@ def build_parser():
     test.add_argument("--permute-seed", dest="permute_seed", type=int, default=None)
     test.add_argument(
         "--max-nonconverged", dest="max_nonconverged", type=float, default=0.05
-    )
-    test.add_argument(
-        "--diag-no-split",
-        dest="diag_no_split",
-        action="store_true",
-        help="compute the full-sample diagnostic statistic instead (no p-value)",
     )
     test.add_argument("--out", default=None)
     test.set_defaults(func=_cmd_test)

@@ -58,8 +58,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1 or self.consistency_trials < 1:
             raise InvalidInputError("trial counts must be positive")
-        if self.processes < 1 or self.threads < 1:
-            raise InvalidInputError("processes and threads must be positive")
+        if self.processes < 1:
+            raise InvalidInputError("processes must be positive")
+        self.test_options(seed=0)  # validate the test settings up front
+
+    def test_options(self, seed):
+        """Options for one trial's test; ``seed`` is echoed in its result."""
+        return TestOptions(
+            alpha=self.alpha,
+            mc_draws=self.mc_draws,
+            seed=seed,
+            threads=self.threads,
+            max_nonconverged=self.max_nonconverged,
+        )
 
     def sim_config(self, delta=None, n=None, seed=0):
         return SimConfig(
@@ -108,14 +119,7 @@ def _run_test_trial(config, index, delta=None, n=None):
     try:
         sim = config.sim_config(delta=delta, n=n, seed=data_seed)
         data, _ = generate(sim)
-        options = TestOptions(
-            alpha=config.alpha,
-            mc_draws=config.mc_draws,
-            seed=mc_seed,
-            threads=config.threads,
-            max_nonconverged=config.max_nonconverged,
-        )
-        result = run_partial_test(data, options)
+        result = run_partial_test(data, config.test_options(mc_seed))
         return TrialRecord(
             index=index,
             data_seed=data_seed,

@@ -21,6 +21,7 @@ from .manifold import (
     SymOperator,
     TransportBatch,
     check_spd,
+    not_pd,
     sym_part,
     weighted_dt_matrix,
 )
@@ -41,7 +42,7 @@ def _validate_responses(responses, eps_pd, name="responses"):
         raise InvalidInputError(f"{name}: matrix for sample {worst} is not symmetric")
     responses = sym_part(responses)
     vals = np.linalg.eigvalsh(responses)
-    bad = vals[:, 0] <= eps_pd * np.maximum(vals[:, -1], 0.0)
+    bad = not_pd(vals, eps_pd)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise InvalidInputError(
@@ -189,25 +190,30 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs for the weighted Frechet mean descent."""
+    """Tuning knobs for the weighted Frechet mean descent.
+
+    A fit stops when the gradient norm is at most ``grad_tol`` times the
+    trace of the iterate, after ``max_iters`` iterations, or when the line
+    search finds no descent step. ``eps_pd`` is the relative threshold below
+    which an iterate counts as not positive definite.
+    """
 
     max_iters: int = 500
     grad_tol: float = 1e-8
-    init_step: float = 1.0
-    step_shrink: float = 0.5
-    min_step: float = 1e-8
     eps_pd: float = EPS_PD
-    init: str = "auto"
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidInputError("max_iters must be at least 1")
-        if not 0 < self.step_shrink < 1:
-            raise InvalidInputError("step_shrink must lie in (0, 1)")
-        if self.grad_tol <= 0 or self.init_step <= 0 or self.min_step <= 0:
-            raise InvalidInputError("tolerances and steps must be positive")
-        if self.init not in ("auto", "euclidean", "sqrt-mean"):
-            raise InvalidInputError(f"unknown init scheme {self.init!r}")
+        if self.grad_tol <= 0:
+            raise InvalidInputError("grad_tol must be positive")
+
+
+# Backtracking line search: the first step tried, the factor that shortens
+# a rejected step, and the shortest step tried before the descent stops.
+_INIT_STEP = 1.0
+_STEP_SHRINK = 0.5
+_MIN_STEP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -228,7 +234,7 @@ class _NotPD(Exception):
 
 def _pd_sqrt_pair(s, eps_pd):
     vals, vecs = np.linalg.eigh(s)
-    if vals[0] <= eps_pd * max(vals[-1], 0.0):
+    if not_pd(vals, eps_pd):
         raise _NotPD
     r = np.sqrt(vals)
     return (vecs * r) @ vecs.T, (vecs / r) @ vecs.T
@@ -244,23 +250,19 @@ def _eval_state(s, qs, trq, eps_pd):
     return wi, mvecs, r, d2
 
 
-def _initial_iterate(qs, weights, scheme, eps_pd):
-    n = qs.shape[0]
-    if scheme in ("auto", "euclidean"):
-        total = weights.sum()
-        e = sym_part(np.tensordot(weights, qs, axes=(0, 0)) / max(total, 1.0))
-        vals = np.linalg.eigvalsh(e)
-        if vals[0] > eps_pd * max(vals[-1], 0.0):
-            return e
-        if scheme == "euclidean":
-            raise IllConditionedError(
-                "euclidean initial iterate is not positive definite; "
-                "use init='sqrt-mean' or 'auto'"
-            )
-    vals, vecs = np.linalg.eigh(qs)
-    roots = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.transpose(0, 2, 1)
-    mean_root = roots.mean(axis=0)
-    return sym_part(mean_root @ mean_root)
+def _initial_iterate(qs, weights, eps_pd):
+    """The weighted Euclidean average of the responses, if positive definite.
+
+    Otherwise, as negative weights can make it, the square of the plain mean
+    of the responses' square roots.
+    """
+    start = sym_part(np.tensordot(weights, qs, axes=(0, 0)) / max(weights.sum(), 1.0))
+    if not_pd(np.linalg.eigvalsh(start), eps_pd):
+        vals, vecs = np.linalg.eigh(qs)
+        roots = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.transpose(0, 2, 1)
+        mean_root = roots.mean(axis=0)
+        start = sym_part(mean_root @ mean_root)
+    return start
 
 
 def _gradient(weights, wi, mvecs, r, wbar):
@@ -290,7 +292,7 @@ def _fit_mean(qs, weights, options):
     n, d = qs.shape[0], qs.shape[-1]
     trq = np.trace(qs, axis1=1, axis2=2)
     eye = np.eye(d)
-    s = _initial_iterate(qs, weights, options.init, options.eps_pd)
+    s = _initial_iterate(qs, weights, options.eps_pd)
 
     try:
         wi, mvecs, r, d2 = _eval_state(s, qs, trq, options.eps_pd)
@@ -313,16 +315,16 @@ def _fit_mean(qs, weights, options):
             break
 
         gvals = np.linalg.eigvalsh(g)
-        eta = options.init_step
+        eta = _INIT_STEP
         accepted = False
-        while eta >= options.min_step:
+        while eta >= _MIN_STEP:
             if 1.0 + eta * gvals[0] > options.eps_pd:
                 step = eye + eta * g
                 cand = sym_part(step @ s @ step)
                 try:
                     state = _eval_state(cand, qs, trq, options.eps_pd)
                 except _NotPD:
-                    eta *= options.step_shrink
+                    eta *= _STEP_SHRINK
                     continue
                 cand_obj = float(np.dot(weights, state[3]) / n)
                 if cand_obj < obj:
@@ -331,7 +333,7 @@ def _fit_mean(qs, weights, options):
                     obj = cand_obj
                     accepted = True
                     break
-            eta *= options.step_shrink
+            eta *= _STEP_SHRINK
         if not accepted:
             break
 

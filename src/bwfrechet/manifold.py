@@ -26,6 +26,15 @@ def sym_part(a):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
+def not_pd(vals, eps_pd=EPS_PD):
+    """Relative positive-definiteness test, batched over leading axes.
+
+    ``vals`` holds ascending eigenvalues along its last axis. True where the
+    smallest does not exceed ``eps_pd`` times the largest (clipped at zero).
+    """
+    return vals[..., 0] <= eps_pd * np.maximum(vals[..., -1], 0.0)
+
+
 def _as_square(a, name):
     try:
         a = np.asarray(a, dtype=float)
@@ -48,7 +57,7 @@ def _validated_eigh(a, eps_pd, name):
         raise InvalidInputError(f"{name}: not symmetric within relative tolerance {_SYM_RTOL}")
     a = sym_part(a)
     vals, vecs = np.linalg.eigh(a)
-    if vals[0] <= eps_pd * max(vals[-1], 0.0):
+    if not_pd(vals, eps_pd):
         raise IllConditionedError(
             f"{name}: not positive definite at relative threshold {eps_pd} "
             f"(eigenvalue range [{vals[0]:.6g}, {vals[-1]:.6g}])"

@@ -155,69 +155,6 @@ def _fit_rows(q, x_fit, moments, rows, options, pool):
     return [fit(x) for x in rows] if pool is None else list(pool.map(fit, rows))
 
 
-def _evaluation_fits(q, x_fit, moments, x_eval, x_hat, options, pool, calibrate=True):
-    """Fits at the evaluation rows and at their imputations, streamed into the test.
-
-    Every fit uses the responses ``q`` with weights from the fitting rows
-    ``x_fit`` and their ``moments``. The imputed rows ``x_hat`` are fitted
-    in blocks of ``_BLOCK`` (on ``pool`` when given), and each point k is
-    then evaluated from its solver's final eigen-state, in index order:
-
-    - the transports T_ki to every response, whose centred coordinates,
-      scaled by the regression-weight gap dw_k = w(x_k) - w(xhat_k),
-      form the rows U_k that the kernel sum_k U_k U_k^T / n^2 adds up;
-    - the m x m matrix of the curvature H_k = -(1/n) sum_i w_i dT_i, which
-      gives the statistic term ||H_k (observed fit - imputed fit)||_F^2
-      and the smallest curvature eigenvalue, and is then dropped.
-
-    Reductions run in this fixed order, so results are bit-identical for
-    any thread count, and no n_eval x n x d x d transport stack exists.
-    With ``calibrate`` false the kernel rows are skipped and the kernel is
-    None; the statistic is the same to the bit.
-
-    Returns (fits at ``x_eval``, fits at ``x_hat``, statistic, kernel,
-    smallest curvature eigenvalue).
-    """
-    n, d = q.shape[0], q.shape[-1]
-    m = sym_dim(d)
-    fits_observed = _fit_rows(q, x_fit, moments, x_eval, options, pool)
-    dw_map = moments.require_cov_inv() @ (x_fit - moments.mean).T
-    gap = x_eval - x_hat
-    eye = np.eye(d)
-
-    def fit(w):
-        return _fit_mean(q, w, options)
-
-    fits_imputed = []
-    kernel = np.zeros((n, n)) if calibrate else None
-    total = 0.0
-    min_eig = np.inf
-    for start in range(0, len(x_eval), _BLOCK):
-        rows = range(start, min(start + _BLOCK, len(x_eval)))
-        weights = [regression_weights(x_hat[k], x_fit, moments) for k in rows]
-        fitted = [fit(w) for w in weights] if pool is None else list(pool.map(fit, weights))
-        if calibrate:
-            dw = gap[start : rows.stop] @ dw_map
-            u = np.empty((n, len(rows), m))
-        for j, (k, w, (result, state)) in enumerate(zip(rows, weights, fitted)):
-            batch = TransportBatch.from_state(*state)
-            cong, gamma = batch.dt_factors()
-            hessian = -weighted_dt_matrix(cong, gamma, w / n)
-            image = hessian @ sym_coords(fits_observed[k].mean - result.mean)
-            total += float(image @ image)
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(hessian)[0]))
-            if calibrate:
-                u[:, j] = dw[j][:, None] * sym_coords(batch.maps() - eye)
-            fits_imputed.append(result)
-        if calibrate:
-            flat = u.reshape(n, -1)
-            kernel += flat @ flat.T
-    if calibrate:
-        kernel = sym_part(kernel / (n * n))
-        kernel.flags.writeable = False
-    return fits_observed, fits_imputed, total, kernel, min_eig
-
-
 def _means(results):
     return np.stack([r.mean for r in results])
 
@@ -228,11 +165,11 @@ class FirstHalfFit:
 
     ``means_second[k]`` is the fit at the k-th second-half covariate row and
     ``means_second_imputed[k]`` the fit at that row with the trailing block
-    imputed from the retained block (``xhat_second[k]``). ``discrepancy``
-    is the statistic before its reliability gate and ``kernel`` the n1 x n1
-    calibration kernel; both are accumulated point by point while the
-    imputed fits run, so the transport maps and curvature operators at the
-    imputed points are never stored and the memory held is O(n1^2).
+    imputed from the retained block. ``discrepancy`` is the statistic
+    before its reliability gate and ``kernel`` the n1 x n1 calibration
+    kernel; both are accumulated point by point while the imputed fits run,
+    so the transport maps and curvature operators at the imputed points are
+    never stored and the memory held is O(n1^2).
     ``min_hessian_eigenvalue`` is the smallest curvature eigenvalue over
     those points. All fits use first-half responses and first-half
     moments only; ``n_fits`` and ``nonconverged`` count the 2 n2 fits at
@@ -242,7 +179,6 @@ class FirstHalfFit:
 
     split: SplitDataset
     options: SolverOptions
-    xhat_second: np.ndarray
     means_second: np.ndarray
     means_second_imputed: np.ndarray
     discrepancy: float
@@ -268,26 +204,69 @@ class FirstHalfFit:
 def fit_first_half(split, options=None, threads=1):
     """Run the 2 n2 regression fits the partial-effect test reads.
 
-    These are the fits at the second-half covariate rows and at their
-    imputations, all from first-half data. Fits are mutually independent,
-    so ``threads`` > 1 distributes them over a thread pool; results are
-    assembled in index order and are bit-identical for any thread count.
+    These are the fits at the second-half covariate rows x_k and at their
+    imputations xhat_k, all with first-half responses, covariates and
+    moments. The imputed rows are fitted in blocks of ``_BLOCK``, and each
+    point k is then evaluated from its solver's final eigen-state, in index
+    order:
+
+    - the transports T_ki to every first-half response, whose centred
+      coordinates, scaled by the regression-weight gap
+      dw_k = w(x_k) - w(xhat_k), form the rows U_k that the kernel
+      sum_k U_k U_k^T / n1^2 adds up;
+    - the m x m matrix of the curvature H_k = -(1/n1) sum_i w_i dT_i, which
+      gives the statistic term ||H_k (observed fit - imputed fit)||_F^2
+      and the smallest curvature eigenvalue, and is then dropped.
+
+    Fits are mutually independent, so ``threads`` > 1 distributes them over
+    a thread pool. Reductions run in the fixed order above, so results are
+    bit-identical for any thread count, and no n2 x n1 x d x d transport
+    stack exists.
     """
     options = options or SolverOptions()
     m = split.moments
     q1 = split.first_responses
     x1 = split.first_covariates
-    xhat2 = imputed_covariates(split.second_covariates, m)
+    x2 = split.second_covariates
+    xhat2 = imputed_covariates(x2, m)
+    n1, d = q1.shape[0], q1.shape[-1]
+    dw_map = m.require_cov_inv() @ (x1 - m.mean).T
+    gap = x2 - xhat2
+    eye = np.eye(d)
+
+    def fit(w):
+        return _fit_mean(q1, w, options)
+
+    fits_imputed = []
+    kernel = np.zeros((n1, n1))
+    discrepancy = 0.0
+    min_eig = np.inf
     with _fit_pool(threads) as pool:
-        fits_second, fits_imputed, discrepancy, kernel, min_eig = _evaluation_fits(
-            q1, x1, m, split.second_covariates, xhat2, options, pool
-        )
-    results = fits_second + fits_imputed
+        fits_observed = _fit_rows(q1, x1, m, x2, options, pool)
+        for start in range(0, split.n2, _BLOCK):
+            rows = range(start, min(start + _BLOCK, split.n2))
+            weights = [regression_weights(xhat2[k], x1, m) for k in rows]
+            fitted = [fit(w) for w in weights] if pool is None else list(pool.map(fit, weights))
+            dw = gap[start : rows.stop] @ dw_map
+            u = np.empty((n1, len(rows), sym_dim(d)))
+            for j, (k, w, (result, state)) in enumerate(zip(rows, weights, fitted)):
+                batch = TransportBatch.from_state(*state)
+                cong, gamma = batch.dt_factors()
+                hessian = -weighted_dt_matrix(cong, gamma, w / n1)
+                image = hessian @ sym_coords(fits_observed[k].mean - result.mean)
+                discrepancy += float(image @ image)
+                min_eig = min(min_eig, float(np.linalg.eigvalsh(hessian)[0]))
+                u[:, j] = dw[j][:, None] * sym_coords(batch.maps() - eye)
+                fits_imputed.append(result)
+            flat = u.reshape(n1, -1)
+            kernel += flat @ flat.T
+    kernel = sym_part(kernel / (n1 * n1))
+    kernel.flags.writeable = False
+    results = fits_observed + fits_imputed
     return FirstHalfFit(
         split=split,
         options=options,
-        xhat_second=xhat2,
-        means_second=_means(fits_second),
+        means_second=_means(fits_observed),
         means_second_imputed=_means(fits_imputed),
         discrepancy=discrepancy,
         kernel=kernel,
@@ -295,15 +274,6 @@ def fit_first_half(split, options=None, threads=1):
         nonconverged=sum(not r.converged for r in results),
         min_hessian_eigenvalue=min_eig,
     )
-
-
-def _check_reliability(nonconverged, n_fits, max_nonconverged):
-    frac = nonconverged / max(n_fits, 1)
-    if frac > max_nonconverged:
-        raise UnreliableResultError(
-            f"{nonconverged} of {n_fits} regression fits did not converge "
-            f"(fraction {frac:.3f} exceeds {max_nonconverged})"
-        )
 
 
 def test_statistic(fit, max_nonconverged=0.05):
@@ -315,7 +285,12 @@ def test_statistic(fit, max_nonconverged=0.05):
     ``UnreliableResultError`` when more than ``max_nonconverged`` of those
     2 n2 fits (``fit.n_fits``) failed to converge.
     """
-    _check_reliability(fit.nonconverged, fit.n_fits, max_nonconverged)
+    frac = fit.nonconverged / max(fit.n_fits, 1)
+    if frac > max_nonconverged:
+        raise UnreliableResultError(
+            f"{fit.nonconverged} of {fit.n_fits} regression fits did not converge "
+            f"(fraction {frac:.3f} exceeds {max_nonconverged})"
+        )
     return fit.discrepancy
 
 
@@ -597,11 +572,6 @@ def run_partial_test(data, options=None):
         converge.
     """
     options = options or TestOptions()
-    if data.p1 < 1 or data.p1 >= data.p:
-        raise InvalidInputError(
-            "the partial-effect test needs a nonempty retained block and a "
-            f"nonempty tested trailing block; got p1={data.p1}, p={data.p}"
-        )
     split = split_dataset(data, options.permute_seed)
     fit = fit_first_half(split, options.solver, options.threads)
     statistic = test_statistic(fit, options.max_nonconverged)
@@ -627,35 +597,3 @@ def run_partial_test(data, options=None):
         seed=options.seed,
         diagnostics=diagnostics,
     )
-
-
-def no_split_statistic(data, options=None):
-    """Full-sample analogue of the discrepancy statistic, for diagnostics only.
-
-    The statistic of :func:`test_statistic` computed by the same code with
-    every sample used for fitting, imputation and evaluation, so its null
-    distribution is not the calibrated mixture; no p-value is defined for
-    it. Useful for measuring what the half split costs.
-
-    Raises ``UnreliableResultError`` when more than
-    ``options.max_nonconverged`` of its 2n fits failed to converge, as
-    :func:`run_partial_test` does.
-    """
-    options = options or TestOptions()
-    if data.p1 < 1 or data.p1 >= data.p:
-        raise InvalidInputError(
-            "the no-split diagnostic needs a nonempty retained block and a "
-            f"nonempty tested trailing block; got p1={data.p1}, p={data.p}"
-        )
-    x = data.covariates
-    moments = CovariateMoments.from_covariates(x, data.p1)
-    with _fit_pool(options.threads) as pool:
-        fits_observed, fits_imputed, discrepancy, _, _ = _evaluation_fits(
-            data.responses, x, moments, x, imputed_covariates(x, moments),
-            options.solver, pool, calibrate=False,
-        )
-    results = fits_observed + fits_imputed
-    _check_reliability(
-        sum(not r.converged for r in results), len(results), options.max_nonconverged
-    )
-    return discrepancy

@@ -114,26 +114,6 @@ def test_fit_on_tabular_dataset(tmp_path, capsys):
     assert rc == 2  # wrong arity
 
 
-def test_diag_no_split_reports_no_p_value(tmp_path, capsys):
-    data_path = simulate(tmp_path)
-    out = tmp_path / "diag.json"
-    rc = run_cli(
-        "test",
-        "--data", str(data_path),
-        "--diag-no-split",
-        "--max-nonconverged", "1",
-        "--out", str(out),
-    )
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert "no p-value" in text
-    assert "reject=" not in text
-    body = load_result(out)
-    assert body["kind"] == "no-split-diagnostic"
-    assert body["statistic"] >= 0.0
-    assert "p_value" not in body
-
-
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -176,16 +156,23 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
 
 def test_exit_code_unreliable(tmp_path, capsys):
     # n=4 leaves two fitting samples: singular moments in every trial, so
-    # the qq study completes zero trials and reports an unreliable result
+    # each study completes zero trials and reports an unreliable result
     cfg = write_config(tmp_path, n=4, trials=2)
-    rc = run_cli("qq", "--config", str(cfg), "--out", str(tmp_path / "qq"))
-    assert rc == 4
-    assert "unreliable result" in capsys.readouterr().err
+    for command in ("qq", "size", "power"):
+        out = tmp_path / command
+        rc = run_cli(command, "--config", str(cfg), "--out", str(out))
+        assert rc == 4, command
+        assert "unreliable result" in capsys.readouterr().err
+        if command != "qq":
+            # the records that say why are written before the exit
+            with open(out / "records.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows and all("SingularError" in row["error"] for row in rows)
 
 
-def test_exit_code_unreliable_no_split(tmp_path, monkeypatch, capsys):
+def test_exit_code_unreliable_fits(tmp_path, monkeypatch, capsys):
     # one solver step at an unreachable tolerance leaves every fit
-    # unconverged; the no-split diagnostic must honour --max-nonconverged
+    # unconverged; the test must honour --max-nonconverged
     data_path = tmp_path / "ex2.json"
     rc = run_cli(
         "simulate", "--example", "2", "--n", "16", "--p-y", "2", "--p-z", "1",
@@ -194,7 +181,7 @@ def test_exit_code_unreliable_no_split(tmp_path, monkeypatch, capsys):
     assert rc == 0
     starved = SolverOptions(max_iters=1, grad_tol=1e-14)
     monkeypatch.setattr(cli, "TestOptions", functools.partial(cli.TestOptions, solver=starved))
-    rc = run_cli("test", "--data", str(data_path), "--diag-no-split", "--max-nonconverged", "0")
+    rc = run_cli("test", "--data", str(data_path), "--max-nonconverged", "0")
     assert rc == 4
     assert "unreliable result" in capsys.readouterr().err
 
@@ -337,3 +324,11 @@ def test_config_validation(tmp_path, capsys):
     rc = run_cli("size", "--config", str(bad), "--out", str(tmp_path / "o"))
     assert rc == 2
     assert "even" in capsys.readouterr().err
+
+    # so are the test settings
+    for key, value in (("alpha", 1.5), ("max_nonconverged", 2.0)):
+        cfg = write_config(tmp_path, trials=2, **{key: value})
+        rc = run_cli("size", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
