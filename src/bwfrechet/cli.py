@@ -9,7 +9,6 @@ where those flags are accepted.
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -19,6 +18,7 @@ from . import __version__
 from .dataio import (
     dataset_checksum,
     load_dataset,
+    read_json,
     test_result_body,
     write_dataset,
     write_result,
@@ -32,8 +32,10 @@ from .errors import (
 )
 from .experiments import (
     ExperimentConfig,
+    consistency_configs,
     mixture_ks_distance,
     pooled_eigenvalues,
+    power_configs,
     qq_data,
     run_consistency_study,
     run_power_curve,
@@ -148,14 +150,10 @@ def _cmd_test(args):
     return 0
 
 
-def _experiment_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
+def _experiment_config(path, grid=None):
+    """Read a study configuration and validate the generator settings of every
+    configuration the study runs, as given by ``grid``, before any trial runs."""
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise InvalidInputError(f"{path}: expected a JSON object")
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -166,32 +164,13 @@ def _experiment_config(path):
         if key in raw:
             raw[key] = tuple(raw[key])
     config = ExperimentConfig(**raw)
-    config.sim_config(seed=0)  # validate the generator settings up front
+    for point in [config] + (grid(config) if grid else []):
+        point.sim_config()
     return config
 
 
-def _records_rows(records, extra=()):
-    rows = []
-    for rec in records:
-        rows.append(
-            list(extra)
-            + [
-                rec.index,
-                rec.data_seed,
-                rec.mc_seed,
-                "" if rec.statistic is None else float(rec.statistic),
-                "" if rec.p_value is None else float(rec.p_value),
-                "" if rec.quantile is None else float(rec.quantile),
-                "" if rec.reject is None else int(rec.reject),
-                rec.nonconverged,
-                rec.n_fits,
-                rec.error or "",
-            ]
-        )
-    return rows
-
-
-_RECORD_HEADER = [
+# the records.csv columns of each record type, read from it by attribute
+_TRIAL_COLUMNS = (
     "index",
     "data_seed",
     "mc_seed",
@@ -202,19 +181,55 @@ _RECORD_HEADER = [
     "nonconverged",
     "n_fits",
     "error",
-]
+)
+_CONSISTENCY_COLUMNS = ("n", "index", "data_seed", "sup_error", "nonconverged", "error")
+
+
+def _record_row(record, columns, lead=()):
+    """``lead``, then ``columns`` read from ``record``: None is written empty, a bool as 0/1."""
+    row = list(lead)
+    for name in columns:
+        value = getattr(record, name)
+        if value is None:
+            value = ""
+        elif isinstance(value, bool):
+            value = int(value)
+        row.append(value)
+    return row
+
+
+def _write_records(out, header, rows, empty):
+    """Write ``records.csv`` into ``out``, then fail if a study cell is empty.
+
+    ``empty`` names each cell that completed no trial (the whole study, an
+    effect size or a sample size), as the words that follow "no trial
+    completed" in the error.
+    """
+    os.makedirs(out, exist_ok=True)
+    write_table(os.path.join(out, "records.csv"), header, rows)
+    if empty:
+        raise UnreliableResultError(
+            f"no trial completed {', '.join(empty)}; see the errors in records.csv"
+        )
+
+
+def _write_summary(args, kind, config, body):
+    summary = {"command": args.command, "config": dataclasses.asdict(config), **body}
+    write_result(os.path.join(args.out, "summary.json"), kind, summary)
+
+
+def _size_study(args):
+    """Run the size study that ``size`` and ``qq`` share and write its records."""
+    config = _experiment_config(args.config)
+    result = run_size_study(config)
+    rows = [_record_row(rec, _TRIAL_COLUMNS) for rec in result.records]
+    _write_records(args.out, _TRIAL_COLUMNS, rows, [] if result.completed else ["in the study"])
+    return config, result
 
 
 def _cmd_size(args):
-    config = _experiment_config(args.config)
-    result = run_size_study(config)
-    os.makedirs(args.out, exist_ok=True)
-    write_table(os.path.join(args.out, "records.csv"), _RECORD_HEADER, _records_rows(result.records))
-    if not result.completed:
-        raise UnreliableResultError("no trial completed; see the errors in records.csv")
+    config, result = _size_study(args)
     summary = {
-        "command": "size",
-        "config": dataclasses.asdict(config),
         "trials": config.trials,
         "completed": result.completed,
         "rejections": result.rejections,
@@ -222,7 +237,7 @@ def _cmd_size(args):
         "ci_low": result.ci_low,
         "ci_high": result.ci_high,
     }
-    write_result(os.path.join(args.out, "summary.json"), "size-study", summary)
+    _write_summary(args, "size-study", config, summary)
     print(
         f"size: rate={result.rejection_rate:.4g} "
         f"ci=[{result.ci_low:.4g}, {result.ci_high:.4g}] "
@@ -232,36 +247,27 @@ def _cmd_size(args):
 
 
 def _cmd_power(args):
-    config = _experiment_config(args.config)
+    config = _experiment_config(args.config, power_configs)
     result = run_power_curve(config)
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for point in result.points:
-        rows.extend(_records_rows(point.records, extra=[point.delta]))
-    write_table(
-        os.path.join(args.out, "records.csv"), ["delta"] + _RECORD_HEADER, rows
-    )
-    empty = [f"{point.delta:g}" for point in result.points if not point.completed]
-    if empty:
-        raise UnreliableResultError(
-            f"no trial completed at delta {', '.join(empty)}; see the errors in records.csv"
-        )
-    summary = {
-        "command": "power",
-        "config": dataclasses.asdict(config),
-        "points": [
-            {
-                "delta": point.delta,
-                "completed": point.completed,
-                "rejections": point.rejections,
-                "power": point.power,
-                "ci_low": point.ci_low,
-                "ci_high": point.ci_high,
-            }
-            for point in result.points
-        ],
-    }
-    write_result(os.path.join(args.out, "summary.json"), "power-curve", summary)
+    rows = [
+        _record_row(rec, _TRIAL_COLUMNS, lead=(point.delta,))
+        for point in result.points
+        for rec in point.records
+    ]
+    empty = [f"at delta {point.delta:g}" for point in result.points if not point.completed]
+    _write_records(args.out, ("delta",) + _TRIAL_COLUMNS, rows, empty)
+    points = [
+        {
+            "delta": point.delta,
+            "completed": point.completed,
+            "rejections": point.rejections,
+            "power": point.power,
+            "ci_low": point.ci_low,
+            "ci_high": point.ci_high,
+        }
+        for point in result.points
+    ]
+    _write_summary(args, "power-curve", config, {"points": points})
     deltas = ", ".join(f"{point.delta:g}" for point in result.points)
     powers = ", ".join(f"{point.power:.3f}" for point in result.points)
     print(f"power: deltas=[{deltas}] rates=[{powers}] -> {args.out}")
@@ -269,69 +275,35 @@ def _cmd_power(args):
 
 
 def _cmd_qq(args):
-    config = _experiment_config(args.config)
-    result = run_size_study(config)
+    config, result = _size_study(args)
     stats = [r.statistic for r in result.records if r.error is None]
-    spectra = [r.eigenvalues for r in result.records if r.error is None]
-    if not stats:
-        raise UnreliableResultError("no trial completed; cannot build quantile pairs")
-    lam = pooled_eigenvalues(spectra)
+    lam = pooled_eigenvalues([r.eigenvalues for r in result.records if r.error is None])
     pairs = qq_data(stats, lam)
     ks = mixture_ks_distance(stats, lam)
-    os.makedirs(args.out, exist_ok=True)
     write_table(
         os.path.join(args.out, "qq.csv"),
         ["reference_quantile", "observed_statistic"],
         [list(map(float, pair)) for pair in pairs],
     )
-    write_table(os.path.join(args.out, "records.csv"), _RECORD_HEADER, _records_rows(result.records))
     summary = {
-        "command": "qq",
-        "config": dataclasses.asdict(config),
         "completed": result.completed,
         "ks_distance": ks,
         "lambda_reference": "pooled-mean",
         "pooled_eigenvalues": [float(v) for v in lam],
     }
-    write_result(os.path.join(args.out, "summary.json"), "qq-study", summary)
+    _write_summary(args, "qq-study", config, summary)
     print(f"qq: ks={ks:.4g} completed={result.completed}/{config.trials} -> {args.out}")
     return 0
 
 
 def _cmd_consistency(args):
-    config = _experiment_config(args.config)
+    config = _experiment_config(args.config, consistency_configs)
     result = run_consistency_study(config)
-    os.makedirs(args.out, exist_ok=True)
-    rows = [
-        [
-            t.n,
-            t.index,
-            t.data_seed,
-            "" if t.sup_error is None else float(t.sup_error),
-            t.nonconverged,
-            t.error or "",
-        ]
-        for t in result.trials
-    ]
-    write_table(
-        os.path.join(args.out, "records.csv"),
-        ["n", "index", "data_seed", "sup_error", "nonconverged", "error"],
-        rows,
-    )
-    summary = {
-        "command": "consistency",
-        "config": dataclasses.asdict(config),
-        "rows": [
-            {
-                "n": row.n,
-                "completed": row.completed,
-                "median_sup_error": row.median_sup_error,
-                "mean_sup_error": row.mean_sup_error,
-            }
-            for row in result.rows
-        ],
-    }
-    write_result(os.path.join(args.out, "summary.json"), "consistency-study", summary)
+    rows = [_record_row(trial, _CONSISTENCY_COLUMNS) for trial in result.trials]
+    empty = [f"at n {row.n}" for row in result.rows if not row.completed]
+    _write_records(args.out, _CONSISTENCY_COLUMNS, rows, empty)
+    summary_rows = [dataclasses.asdict(row) for row in result.rows]
+    _write_summary(args, "consistency-study", config, {"rows": summary_rows})
     errs = ", ".join(f"{row.n}:{row.median_sup_error:.4g}" for row in result.rows)
     print(f"consistency: median sup errors {{{errs}}} -> {args.out}")
     return 0

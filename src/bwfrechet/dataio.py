@@ -41,7 +41,8 @@ def _float_cell(value):
     return repr(float(value))
 
 
-def _read_json(path):
+def read_json(path):
+    """Parse a JSON file; an unreadable or malformed file is invalid input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -140,7 +141,7 @@ def _precheck_responses(responses, sample_ids, where):
 
 
 def _load_json_dataset(path, p1_override):
-    payload = _read_json(path)
+    payload = read_json(path)
     _check_header(payload, path)
     _require_keys(payload, ["n", "p", "p1", "d", "covariates", "responses"], path)
     try:
@@ -182,7 +183,7 @@ def _read_csv_rows(path, expected_header):
 
 def _load_tabular_dataset(path, p1_override):
     meta_path = os.path.join(path, _META_NAME)
-    meta = _read_json(meta_path)
+    meta = read_json(meta_path)
     _check_header(meta, meta_path)
     _require_keys(meta, ["n", "p", "p1", "d"], meta_path)
     n, p, d = int(meta["n"]), int(meta["p"]), int(meta["d"])
@@ -298,7 +299,7 @@ def write_result(path, kind, body):
 
 
 def load_result(path):
-    payload = _read_json(path)
+    payload = read_json(path)
     if payload.get("format") != RESULT_FORMAT:
         raise InvalidInputError(
             f"{path}: format is {payload.get('format')!r}, expected {RESULT_FORMAT!r}"

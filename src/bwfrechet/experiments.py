@@ -1,5 +1,11 @@
 """Monte Carlo studies of the partial-effect test and the regression fit.
 
+Every study runs its trials through one loop over trial indices: each point
+of the power curve is the size study at that effect size, and each row of
+the consistency study runs the same loop on the configuration at that sample
+size (``power_configs`` and ``consistency_configs`` build these
+configurations).
+
 Every trial derives its data seed (and a calibration seed, echoed in the
 test options but unused now that the calibration is exact) from the study
 root seed and the trial index alone, so trials are reproducible one by one,
@@ -12,8 +18,8 @@ error message rather than dropped.
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
+from itertools import product, repeat
 
 import numpy as np
 
@@ -60,6 +66,8 @@ class ExperimentConfig:
             raise InvalidInputError("trial counts must be positive")
         if self.processes < 1:
             raise InvalidInputError("processes must be positive")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
         self.test_options(seed=0)  # validate the test settings up front
 
     def test_options(self, seed):
@@ -72,16 +80,26 @@ class ExperimentConfig:
             max_nonconverged=self.max_nonconverged,
         )
 
-    def sim_config(self, delta=None, n=None, seed=0):
+    def sim_config(self, seed=0):
         return SimConfig(
             example=self.example,
-            n=self.n if n is None else int(n),
+            n=self.n,
             p_y=self.p_y,
             p_z=self.p_z,
             d=self.d,
-            delta_z=self.delta_z if delta is None else float(delta),
+            delta_z=self.delta_z,
             seed=seed,
         )
+
+
+def power_configs(config):
+    """The configuration of each point of the power curve, one per ``delta_grid`` value."""
+    return [replace(config, delta_z=float(delta)) for delta in config.delta_grid]
+
+
+def consistency_configs(config):
+    """The configuration of each row of the consistency study, one per ``n_grid`` value."""
+    return [replace(config, n=int(n)) for n in config.n_grid]
 
 
 def trial_seeds(root_seed, trial_index):
@@ -114,11 +132,10 @@ class TrialRecord:
     error: str | None = None
 
 
-def _run_test_trial(config, index, delta=None, n=None):
+def _run_test_trial(config, index):
     data_seed, mc_seed = trial_seeds(config.seed, index)
     try:
-        sim = config.sim_config(delta=delta, n=n, seed=data_seed)
-        data, _ = generate(sim)
+        data, _ = generate(config.sim_config(seed=data_seed))
         result = run_partial_test(data, config.test_options(mc_seed))
         return TrialRecord(
             index=index,
@@ -148,16 +165,12 @@ def _run_test_trial(config, index, delta=None, n=None):
         )
 
 
-def _test_trial_star(args):
-    return _run_test_trial(*args)
-
-
-def _map_trials(config, tasks, worker):
-    """Run (index, delta, n) tasks, in order, inline or over processes."""
+def _map_trials(config, worker, trials):
+    """Run ``worker(config, index)`` for each trial index, in order, inline or over processes."""
     if config.processes > 1:
         with ProcessPoolExecutor(max_workers=config.processes) as pool:
-            return list(pool.map(worker, [(config, *task) for task in tasks]))
-    return [worker((config, *task)) for task in tasks]
+            return list(pool.map(worker, repeat(config), range(trials)))
+    return list(map(worker, repeat(config), range(trials)))
 
 
 def clopper_pearson(successes, total, level=0.95):
@@ -197,8 +210,7 @@ def run_size_study(config):
     With ``delta_z`` zero (the default) this is the empirical size at level
     ``alpha``.
     """
-    tasks = [(index, None, None) for index in range(config.trials)]
-    records = _map_trials(config, tasks, _test_trial_star)
+    records = _map_trials(config, _run_test_trial, config.trials)
     completed = [r for r in records if r.error is None]
     rejections = sum(1 for r in completed if r.reject)
     rate = rejections / len(completed) if completed else float("nan")
@@ -241,25 +253,17 @@ def run_power_curve(config):
     the size study on the same data draws.
     """
     points = []
-    for delta in config.delta_grid:
-        tasks = [(index, float(delta), None) for index in range(config.trials)]
-        records = _map_trials(config, tasks, _test_trial_star)
-        completed = [r for r in records if r.error is None]
-        rejections = sum(1 for r in completed if r.reject)
-        rate = rejections / len(completed) if completed else float("nan")
-        if completed:
-            low, high = clopper_pearson(rejections, len(completed))
-        else:
-            low, high = float("nan"), float("nan")
+    for point in power_configs(config):
+        study = run_size_study(point)
         points.append(
             PowerPoint(
-                delta=float(delta),
-                completed=len(completed),
-                rejections=rejections,
-                power=rate,
-                ci_low=low,
-                ci_high=high,
-                records=tuple(records),
+                delta=point.delta_z,
+                completed=study.completed,
+                rejections=study.rejections,
+                power=study.rejection_rate,
+                ci_low=study.ci_low,
+                ci_high=study.ci_high,
+                records=study.records,
             )
         )
     return PowerCurveResult(config=config, points=tuple(points))
@@ -311,12 +315,10 @@ def _evaluation_lattice(config):
     return np.concatenate([y, np.zeros((y.shape[0], config.p_z))], axis=1)
 
 
-def _run_consistency_trial(args):
-    config, index, n = args
+def _run_consistency_trial(config, index):
     data_seed, _ = trial_seeds(config.seed, index)
     try:
-        sim = config.sim_config(delta=None, n=n, seed=data_seed)
-        data, truth = generate(sim)
+        data, truth = generate(config.sim_config(seed=data_seed))
         lattice = _evaluation_lattice(config)
         n1 = (data.n + 1) // 2
         first_moments = CovariateMoments.from_covariates(data.covariates[:n1], data.p1)
@@ -336,7 +338,7 @@ def _run_consistency_trial(args):
         return ConsistencyTrial(
             index=index,
             data_seed=data_seed,
-            n=n,
+            n=config.n,
             sup_error=worst,
             nonconverged=nonconverged,
         )
@@ -344,7 +346,7 @@ def _run_consistency_trial(args):
         return ConsistencyTrial(
             index=index,
             data_seed=data_seed,
-            n=n,
+            n=config.n,
             sup_error=None,
             nonconverged=0,
             error=f"{type(exc).__name__}: {exc}",
@@ -363,29 +365,18 @@ def run_consistency_study(config):
     """
     rows = []
     all_trials = []
-    for n in config.n_grid:
-        tasks = [(index, int(n)) for index in range(config.consistency_trials)]
-        trials = _map_trials(config, tasks, _run_consistency_trial)
+    for point in consistency_configs(config):
+        trials = _map_trials(point, _run_consistency_trial, point.consistency_trials)
         all_trials.extend(trials)
         done = [t.sup_error for t in trials if t.error is None]
-        if done:
-            rows.append(
-                ConsistencyRow(
-                    n=int(n),
-                    completed=len(done),
-                    median_sup_error=float(np.median(done)),
-                    mean_sup_error=float(np.mean(done)),
-                )
+        rows.append(
+            ConsistencyRow(
+                n=point.n,
+                completed=len(done),
+                median_sup_error=float(np.median(done)) if done else float("nan"),
+                mean_sup_error=float(np.mean(done)) if done else float("nan"),
             )
-        else:
-            rows.append(
-                ConsistencyRow(
-                    n=int(n),
-                    completed=0,
-                    median_sup_error=float("nan"),
-                    mean_sup_error=float("nan"),
-                )
-            )
+        )
     return ConsistencyResult(config=config, rows=tuple(rows), trials=tuple(all_trials))
 
 

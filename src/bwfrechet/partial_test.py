@@ -95,6 +95,8 @@ def split_dataset(data, permute_seed=None):
             "the tested trailing block must contain at least one covariate (p1 < p)"
         )
     if permute_seed is not None:
+        if permute_seed < 0:
+            raise InvalidInputError(f"permute_seed must be nonnegative, got {permute_seed}")
         perm = np.random.default_rng(np.random.SeedSequence(permute_seed)).permutation(data.n)
         data = data.subset(perm)
     n1 = (data.n + 1) // 2

@@ -129,6 +129,9 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     assert rc == 2
     rc = run_cli("test", "--data", str(data_path), "--alpha", "1.5", "--mc-draws", "2000")
     assert rc == 2
+    rc = run_cli("test", "--data", str(data_path), "--permute-seed", "-1")
+    assert rc == 2
+    assert "permute_seed" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):
@@ -155,19 +158,23 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
 
 
 def test_exit_code_unreliable(tmp_path, capsys):
-    # n=4 leaves two fitting samples: singular moments in every trial, so
-    # each study completes zero trials and reports an unreliable result
-    cfg = write_config(tmp_path, n=4, trials=2)
-    for command in ("qq", "size", "power"):
+    # n=4 leaves two fitting samples and n=3 one: singular moments in every
+    # such trial, so each test study, and the consistency study at n=3,
+    # completes zero trials and reports an unreliable result
+    cfg = write_config(tmp_path, n=4, trials=2, n_grid=[3, 16], consistency_trials=2)
+    for command in ("qq", "size", "power", "consistency"):
         out = tmp_path / command
         rc = run_cli(command, "--config", str(cfg), "--out", str(out))
         assert rc == 4, command
         assert "unreliable result" in capsys.readouterr().err
-        if command != "qq":
-            # the records that say why are written before the exit
-            with open(out / "records.csv", newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            assert rows and all("SingularError" in row["error"] for row in rows)
+        # the records that say why are written before the exit
+        with open(out / "records.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        if command == "consistency":
+            assert {row["n"] for row in rows} == {"3", "16"}
+            rows = [row for row in rows if row["n"] == "3"]
+        assert rows and all("SingularError" in row["error"] for row in rows)
+        assert not (out / "summary.json").exists()
 
 
 def test_exit_code_unreliable_fits(tmp_path, monkeypatch, capsys):
@@ -325,10 +332,25 @@ def test_config_validation(tmp_path, capsys):
     assert rc == 2
     assert "even" in capsys.readouterr().err
 
-    # so are the test settings
-    for key, value in (("alpha", 1.5), ("max_nonconverged", 2.0)):
+    # so are the test settings and the seed
+    for key, value in (("alpha", 1.5), ("max_nonconverged", 2.0), ("seed", -1)):
         cfg = write_config(tmp_path, trials=2, **{key: value})
         rc = run_cli("size", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    # and every grid value the study runs: 0.9 is beyond 2/(p_y+p_z) and
+    # n=0 is no sample size
+    for command, key, grid, message in (
+        ("power", "delta_grid", [0.0, 0.9], "delta_z"),
+        ("consistency", "n_grid", [0, 24], "n must be positive"),
+    ):
+        cfg = write_config(tmp_path, trials=2, consistency_trials=1, **{key: grid})
+        rc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert rc == 2, command
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+    # a study ignores the grids it does not run
+    cfg = write_config(tmp_path, trials=1, delta_grid=[0.9], n_grid=[0])
+    assert run_cli("size", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0

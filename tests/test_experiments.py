@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,8 @@ def test_experiment_config_validation():
         ExperimentConfig(processes=0)
     with pytest.raises(InvalidInputError):
         ExperimentConfig(threads=0)
+    with pytest.raises(InvalidInputError, match="seed"):
+        ExperimentConfig(seed=-1)
 
 
 def test_clopper_pearson_against_beta_quantiles():
@@ -126,6 +129,15 @@ def test_power_curve_shares_data_draws_across_deltas():
     assert null_seeds == alt_seeds
     # same data seed, different effect: the statistics must differ
     assert res.points[0].records[0].statistic != res.points[1].records[0].statistic
+
+
+def test_process_pool_gives_the_inline_records():
+    cfg = tiny_config(trials=2, delta_grid=(0.0, 0.3), n_grid=(16, 24), consistency_trials=2)
+    pooled = replace(cfg, processes=2)
+    assert run_size_study(pooled).records == run_size_study(cfg).records
+    assert ([pt.records for pt in run_power_curve(pooled).points]
+            == [pt.records for pt in run_power_curve(cfg).points])
+    assert run_consistency_study(pooled).trials == run_consistency_study(cfg).trials
 
 
 def test_failed_trials_are_recorded_not_raised():

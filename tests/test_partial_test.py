@@ -97,6 +97,8 @@ def test_split_validation():
         split_dataset(Dataset(covariates=x, responses=q, p1=0))
     with pytest.raises(InvalidInputError):
         split_dataset(Dataset(covariates=x, responses=q, p1=2))
+    with pytest.raises(InvalidInputError, match="permute_seed"):
+        split_dataset(Dataset(covariates=x, responses=q, p1=1), permute_seed=-1)
 
 
 def test_split_permute_seed_reproducible():
