@@ -160,9 +160,6 @@ def _experiment_config(path, grid=None):
     unknown = sorted(set(raw) - names)
     if unknown:
         raise InvalidInputError(f"{path}: unknown configuration keys {unknown}")
-    for key in ("delta_grid", "n_grid", "lattice"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
     config = ExperimentConfig(**raw)
     for point in [config] + (grid(config) if grid else []):
         point.sim_config()

@@ -118,6 +118,19 @@ def _require_keys(payload, keys, where):
         raise InvalidInputError(f"{where}: missing keys {missing}")
 
 
+def _int_keys(payload, keys, where):
+    """The values at ``keys`` as integers; a value int() rejects is invalid input."""
+    values = []
+    for key in keys:
+        try:
+            values.append(int(payload[key]))
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInputError(
+                f"{where}: {key} must be an integer, got {payload[key]!r}"
+            ) from None
+    return values
+
+
 def _check_header(payload, where):
     if payload.get("format") != DATASET_FORMAT:
         raise InvalidInputError(
@@ -149,7 +162,7 @@ def _load_json_dataset(path, p1_override):
         responses = np.asarray(payload["responses"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed arrays: {exc}") from None
-    n, p, d = int(payload["n"]), int(payload["p"]), int(payload["d"])
+    n, p, d, p1 = _int_keys(payload, ("n", "p", "d", "p1"), path)
     if covariates.shape != (n, p):
         raise InvalidInputError(
             f"{path}: covariates shape {covariates.shape} does not match n={n}, p={p}"
@@ -158,7 +171,8 @@ def _load_json_dataset(path, p1_override):
         raise InvalidInputError(
             f"{path}: responses shape {responses.shape} does not match n={n}, d={d}"
         )
-    p1 = int(payload["p1"]) if p1_override is None else int(p1_override)
+    if p1_override is not None:
+        p1 = int(p1_override)
     if not np.all(np.isfinite(responses)):
         raise InvalidInputError(f"{path}: responses contain non-finite values")
     _precheck_responses(0.5 * (responses + responses.transpose(0, 2, 1)), list(range(n)), path)
@@ -186,8 +200,9 @@ def _load_tabular_dataset(path, p1_override):
     meta = read_json(meta_path)
     _check_header(meta, meta_path)
     _require_keys(meta, ["n", "p", "p1", "d"], meta_path)
-    n, p, d = int(meta["n"]), int(meta["p"]), int(meta["d"])
-    p1 = int(meta["p1"]) if p1_override is None else int(p1_override)
+    n, p, d, p1 = _int_keys(meta, ("n", "p", "d", "p1"), meta_path)
+    if p1_override is not None:
+        p1 = int(p1_override)
 
     cov_path = os.path.join(path, _COV_NAME)
     header = ["sample_id"] + [f"x_{j + 1}" for j in range(p)]

@@ -16,9 +16,11 @@ sample sizes in the consistency study. Failed trials are recorded with the
 error message rather than dropped.
 """
 
+import math
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product, repeat
 
 import numpy as np
@@ -33,6 +35,18 @@ from .partial_test import (
     run_partial_test,
 )
 from .simgen import SimConfig, generate, population_qstar
+
+
+# what each field type of ExperimentConfig accepts, and how its error names it
+_FIELD_KINDS = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    tuple: (numbers.Real, "a list of numbers"),
+}
+
+
+def _is_number(value, kind):
+    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -62,6 +76,17 @@ class ExperimentConfig:
     lattice: tuple = (-0.5, 0.0, 0.5)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, what = _FIELD_KINDS[f.type]
+            if f.type is tuple:
+                ok = isinstance(value, (tuple, list)) and all(_is_number(v, kind) for v in value)
+                if ok:
+                    object.__setattr__(self, f.name, tuple(value))
+            else:
+                ok = _is_number(value, kind)
+            if not ok:
+                raise InvalidInputError(f"{f.name} must be {what}, got {value!r}")
         if self.trials < 1 or self.consistency_trials < 1:
             raise InvalidInputError("trial counts must be positive")
         if self.processes < 1:
@@ -117,18 +142,18 @@ def trial_seeds(root_seed, trial_index):
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One test trial: outcome fields are None when the trial failed."""
+    """One test trial; a failed trial keeps the outcome defaults (None, and 0 for the counts)."""
 
     index: int
     data_seed: int
     mc_seed: int
-    statistic: float | None
-    p_value: float | None
-    quantile: float | None
-    reject: bool | None
-    nonconverged: int
-    n_fits: int
-    eigenvalues: tuple | None
+    statistic: float | None = None
+    p_value: float | None = None
+    quantile: float | None = None
+    reject: bool | None = None
+    nonconverged: int = 0
+    n_fits: int = 0
+    eigenvalues: tuple | None = None
     error: str | None = None
 
 
@@ -154,13 +179,6 @@ def _run_test_trial(config, index):
             index=index,
             data_seed=data_seed,
             mc_seed=mc_seed,
-            statistic=None,
-            p_value=None,
-            quantile=None,
-            reject=None,
-            nonconverged=0,
-            n_fits=0,
-            eigenvalues=None,
             error=f"{type(exc).__name__}: {exc}",
         )
 
@@ -275,11 +293,13 @@ def run_power_curve(config):
 
 @dataclass(frozen=True)
 class ConsistencyTrial:
+    """One consistency trial; a failed trial keeps the outcome defaults."""
+
     index: int
     data_seed: int
     n: int
-    sup_error: float | None
-    nonconverged: int
+    sup_error: float | None = None
+    nonconverged: int = 0
     error: str | None = None
 
 
@@ -347,8 +367,6 @@ def _run_consistency_trial(config, index):
             index=index,
             data_seed=data_seed,
             n=config.n,
-            sup_error=None,
-            nonconverged=0,
             error=f"{type(exc).__name__}: {exc}",
         )
 

@@ -16,15 +16,7 @@ from .errors import (
     InvalidInputError,
     SingularError,
 )
-from .manifold import (
-    EPS_PD,
-    SymOperator,
-    TransportBatch,
-    check_spd,
-    not_pd,
-    sym_part,
-    weighted_dt_matrix,
-)
+from .manifold import EPS_PD, not_pd, sym_part
 
 
 def _validate_responses(responses, eps_pd, name="responses"):
@@ -433,20 +425,3 @@ def frechet_regress(data, x, moments=None, options=None):
     if w.sum() <= 0:
         raise InvalidInputError("regression weights at x have nonpositive sum")
     return _fit_mean(data.responses, w, options)[0]
-
-
-def hessian_operator(base, data, x, moments=None):
-    """Curvature operator of the weighted objective at ``base``.
-
-    Equals minus the weighted average of transport-map differentials,
-    -(1/n) sum_i w(x, X_i) dT_i, as an operator on symmetric matrices. At the
-    minimizer with positive weights this is positive semidefinite.
-    """
-    base = check_spd(base, name="hessian_operator: base")
-    if moments is None:
-        moments = CovariateMoments.from_covariates(data.covariates, data.p1)
-    w = regression_weights(x, data.covariates, moments)
-    batch = TransportBatch(base, data.responses)
-    cong, gamma = batch.dt_factors()
-    mat = -weighted_dt_matrix(cong, gamma, w / data.n)
-    return SymOperator(data.d, mat)

@@ -6,8 +6,8 @@ coordinate system for the space of symmetric matrices that the rest of the
 package shares.
 
 All matrices are real, validated to be symmetric within a relative tolerance
-of 1e-12 (and symmetrized), with eigenvalues required to exceed
-``eps_pd`` relative to the largest eigenvalue (default 1e-10).
+of 1e-12 (and symmetrized), with eigenvalues required to exceed ``EPS_PD``
+(1e-10) relative to the largest eigenvalue.
 """
 
 import functools
@@ -49,7 +49,7 @@ def _as_square(a, name):
     return a
 
 
-def _validated_eigh(a, eps_pd, name):
+def _validated_eigh(a, name):
     """Symmetrize, eigendecompose and enforce positive definiteness."""
     a = _as_square(a, name)
     scale = np.abs(a).max()
@@ -57,29 +57,12 @@ def _validated_eigh(a, eps_pd, name):
         raise InvalidInputError(f"{name}: not symmetric within relative tolerance {_SYM_RTOL}")
     a = sym_part(a)
     vals, vecs = np.linalg.eigh(a)
-    if not_pd(vals, eps_pd):
+    if not_pd(vals):
         raise IllConditionedError(
-            f"{name}: not positive definite at relative threshold {eps_pd} "
+            f"{name}: not positive definite at relative threshold {EPS_PD} "
             f"(eigenvalue range [{vals[0]:.6g}, {vals[-1]:.6g}])"
         )
     return a, vals, vecs
-
-
-def check_spd(a, eps_pd=EPS_PD, name="matrix"):
-    """Validate a symmetric positive definite matrix.
-
-    Returns the symmetrized matrix. Raises ``InvalidInputError`` for shape,
-    finiteness or symmetry violations and ``IllConditionedError`` when the
-    smallest eigenvalue does not exceed ``eps_pd`` times the largest.
-    """
-    a, _, _ = _validated_eigh(a, eps_pd, name)
-    return a
-
-
-def sym_sqrt(a, eps_pd=EPS_PD):
-    """Principal matrix square root of an SPD matrix via eigendecomposition."""
-    _, vals, vecs = _validated_eigh(a, eps_pd, "sym_sqrt")
-    return sym_part((vecs * np.sqrt(vals)) @ vecs.T)
 
 
 def _sqrt_pair(vals, vecs):
@@ -90,15 +73,15 @@ def _sqrt_pair(vals, vecs):
     return sym_part(w), sym_part(wi)
 
 
-def wasserstein_distance(a, b, eps_pd=EPS_PD):
+def wasserstein_distance(a, b):
     """Bures-Wasserstein distance between two SPD matrices.
 
     W(A, B) = [tr A + tr B - 2 tr (A^{1/2} B A^{1/2})^{1/2}]^{1/2},
     with the bracket clamped at zero before the outer square root so that
     nearly identical inputs cannot produce NaN.
     """
-    a, va, ua = _validated_eigh(a, eps_pd, "wasserstein_distance: first argument")
-    b, _, _ = _validated_eigh(b, eps_pd, "wasserstein_distance: second argument")
+    a, va, ua = _validated_eigh(a, "wasserstein_distance: first argument")
+    b, _, _ = _validated_eigh(b, "wasserstein_distance: second argument")
     if a.shape != b.shape:
         raise InvalidInputError(
             f"wasserstein_distance: dimension mismatch {a.shape} vs {b.shape}"
@@ -109,14 +92,14 @@ def wasserstein_distance(a, b, eps_pd=EPS_PD):
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def ot_map(base, target, eps_pd=EPS_PD):
+def ot_map(base, target):
     """Optimal-transport map T from ``base`` to ``target``.
 
     T = base^{-1/2} (base^{1/2} target base^{1/2})^{1/2} base^{-1/2}; T is
     symmetric positive definite and satisfies T base T = target.
     """
-    base, vb, ub = _validated_eigh(base, eps_pd, "ot_map: base")
-    target, _, _ = _validated_eigh(target, eps_pd, "ot_map: target")
+    base, vb, ub = _validated_eigh(base, "ot_map: base")
+    target, _, _ = _validated_eigh(target, "ot_map: target")
     if base.shape != target.shape:
         raise InvalidInputError(f"ot_map: dimension mismatch {base.shape} vs {target.shape}")
     w, wi = _sqrt_pair(vb, ub)
@@ -143,33 +126,13 @@ def _offdiag_indices(d):
     return r, c
 
 
-@functools.lru_cache(maxsize=None)
-def sym_basis(d):
-    """Orthonormal basis of symmetric d x d matrices, shape (m, d, d).
-
-    Diagonal units E_ii first (i ascending), then (E_ij + E_ji)/sqrt(2) for
-    i < j in lexicographic order. Cached and read-only.
-    """
-    if d < 1:
-        raise InvalidInputError(f"sym_basis: d must be positive, got {d}")
-    m = sym_dim(d)
-    basis = np.zeros((m, d, d))
-    idx = np.arange(d)
-    basis[idx, idx, idx] = 1.0
-    r, c = _offdiag_indices(d)
-    off = np.arange(d, m)
-    s = 1.0 / np.sqrt(2.0)
-    basis[off, r, c] = s
-    basis[off, c, r] = s
-    basis.flags.writeable = False
-    return basis
-
-
 def sym_coords(h):
-    """Coordinates of symmetric matrices in the fixed basis.
+    """Coordinates of symmetric matrices in the fixed orthonormal basis.
 
-    Accepts (..., d, d); returns (..., m). Near-symmetric input is projected
-    onto its symmetric part.
+    The basis lists the diagonal units E_ii first (i ascending), then
+    (E_ij + E_ji)/sqrt(2) for i < j in lexicographic order. Accepts
+    (..., d, d); returns (..., m). Near-symmetric input is projected onto its
+    symmetric part.
     """
     h = np.asarray(h, dtype=float)
     d = h.shape[-1]
@@ -270,8 +233,8 @@ class TransportBatch:
     Frechet mean solver holds at its final iterate.
     """
 
-    def __init__(self, base, targets, eps_pd=EPS_PD):
-        base, vals, vecs = _validated_eigh(base, eps_pd, "TransportBatch: base")
+    def __init__(self, base, targets):
+        base, vals, vecs = _validated_eigh(base, "TransportBatch: base")
         targets = np.asarray(targets, dtype=float)
         if targets.ndim == 2:
             targets = targets[None]
@@ -345,7 +308,7 @@ def weighted_dt_matrix(cong, gamma, coeffs):
     return sym_part(mat)
 
 
-def ot_map_differential(base, target, eps_pd=EPS_PD):
+def ot_map_differential(base, target):
     """Differential of the transport map in its base point, as a SymOperator.
 
     For T = ot_map(base, target), the returned operator maps a symmetric
@@ -353,7 +316,7 @@ def ot_map_differential(base, target, eps_pd=EPS_PD):
     dT (base T) + (T base) dT = -T H T. Self-adjoint with nonpositive
     spectrum when target is positive definite.
     """
-    target = check_spd(target, eps_pd, "ot_map_differential: target")
-    batch = TransportBatch(base, target[None], eps_pd)
+    target, _, _ = _validated_eigh(target, "ot_map_differential: target")
+    batch = TransportBatch(base, target[None])
     cong, gamma = batch.dt_factors()
     return SymOperator(batch.d, weighted_dt_matrix(cong, gamma, np.ones(1)))

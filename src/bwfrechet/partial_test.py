@@ -73,10 +73,6 @@ class SplitDataset:
     def first_responses(self):
         return self.data.responses[: self.n1]
 
-    @property
-    def second_responses(self):
-        return self.data.responses[self.n1 :]
-
 
 def split_dataset(data, permute_seed=None):
     """Split a dataset in half for the partial-effect test.
@@ -105,30 +101,22 @@ def split_dataset(data, permute_seed=None):
     return SplitDataset(data=data, n1=n1, n2=n2, moments=moments)
 
 
-def impute_z(y, moments):
-    """Best linear prediction of the trailing block from the retained block.
-
-    zhat(y) = mean_z + cov_zy cov_yy^{-1} (y - mean_y), with all moments taken
-    from ``moments``. Accepts a single row (p1,) or a stack (k, p1).
-    """
-    y = np.asarray(y, dtype=float)
-    p1 = moments.p1
-    if p1 < 1:
-        raise InvalidInputError("imputation requires a nonempty retained block")
-    if y.shape[-1] != p1:
-        raise InvalidInputError(f"y: expected trailing dimension {p1}, got {y.shape}")
-    inv11 = moments.require_cov11_inv()
-    cov21 = moments.cov[p1:, :p1]
-    yc = y - moments.mean[:p1]
-    return moments.mean[p1:] + yc @ inv11 @ cov21.T
-
-
 def imputed_covariates(x, moments):
-    """Covariate rows with the trailing block replaced by its imputation."""
+    """Covariate rows with the trailing block replaced by its imputation.
+
+    The imputation is the best linear prediction of the trailing block z from
+    the retained block y, zhat(y) = mean_z + cov_zy cov_yy^{-1} (y - mean_y),
+    with all moments taken from ``moments``. Accepts a single row (p,) or a
+    stack (k, p).
+    """
     x = np.asarray(x, dtype=float)
+    if x.shape[-1] != moments.p:
+        raise InvalidInputError(f"x: expected trailing dimension {moments.p}, got {x.shape}")
     p1 = moments.p1
     y = x[..., :p1]
-    return np.concatenate([y, impute_z(y, moments)], axis=-1)
+    yc = y - moments.mean[:p1]
+    zhat = moments.mean[p1:] + yc @ moments.require_cov11_inv() @ moments.cov[p1:, :p1].T
+    return np.concatenate([y, zhat], axis=-1)
 
 
 # Imputed points fitted and evaluated together: the solver states of one

@@ -20,9 +20,8 @@ from .errors import IllConditionedError, InvalidConfigError, InvalidInputError
 from .frechet import Dataset
 from .manifold import EPS_PD
 
-# E|V| and E[V^2] for the diagonal scale V ~ Uniform[-0.9, 1.1]
+# E|V| for the diagonal scale V ~ Uniform[-0.9, 1.1]
 MEAN_ABS_V = (0.9**2 + 1.1**2) / 4.0
-MEAN_SQ_V = (0.9**3 + 1.1**3) / 6.0
 
 _V_LOW, _V_HIGH = -0.9, 1.1
 

@@ -354,3 +354,21 @@ def test_config_validation(tmp_path, capsys):
     # a study ignores the grids it does not run
     cfg = write_config(tmp_path, trials=1, delta_grid=[0.9], n_grid=[0])
     assert run_cli("size", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+
+    # values of the wrong type, in a study config or a dataset header
+    out = tmp_path / "typed"
+    for command, key, value in (("size", "trials", "2"), ("power", "delta_grid", ["a"])):
+        cfg = write_config(tmp_path, **{key: value})
+        rc = run_cli(command, "--config", str(cfg), "--out", str(out))
+        assert rc == 2, command
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+    data = simulate(tmp_path)
+    for key, value in (("n", "twelve"), ("p1", None)):
+        payload = json.loads(data.read_text())
+        payload[key] = value
+        bad.write_text(json.dumps(payload))
+        rc = run_cli("test", "--data", str(bad), "--out", str(out))
+        assert rc == 2, key
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not out.exists()

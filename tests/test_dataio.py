@@ -201,6 +201,12 @@ def test_tabular_header_and_counts(tmp_path):
     with pytest.raises(InvalidInputError, match="duplicate sample_id"):
         load_dataset(path3)
 
+    for key, value in (("n", "twelve"), ("p1", None)):
+        path4 = tmp_path / f"tab-{key}"
+        write_tabular_by_hand(path4, {**BASE_META, key: value}, BASE_COV, BASE_RESP)
+        with pytest.raises(InvalidInputError, match=f"{key} must be an integer"):
+            load_dataset(path4)
+
 
 def test_version_1_dataset_loads(tmp_path):
     # a dataset file written by hand at format version 1, the version that
@@ -239,6 +245,12 @@ def test_json_validation(tmp_path):
     with pytest.raises(InvalidInputError, match="shape"):
         load_dataset(bad)
 
+    for key, value in (("n", "twelve"), ("p1", None)):
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(InvalidInputError, match=f"{key} must be an integer"):
+            load_dataset(bad)
 
 # ---------------------------------------------------------------------------
 # checksums and result envelopes

@@ -80,6 +80,11 @@ def test_experiment_config_validation():
         ExperimentConfig(threads=0)
     with pytest.raises(InvalidInputError, match="seed"):
         ExperimentConfig(seed=-1)
+    for key, value in (("trials", "2"), ("seed", 1.5), ("alpha", None),
+                       ("delta_grid", ("a",)), ("n_grid", 100), ("lattice", (float("nan"),))):
+        with pytest.raises(InvalidInputError, match=key):
+            ExperimentConfig(**{key: value})
+    assert ExperimentConfig(delta_grid=[0.0, 0.2]).delta_grid == (0.0, 0.2)
 
 
 def test_clopper_pearson_against_beta_quantiles():

@@ -7,15 +7,12 @@ from bwfrechet.errors import IllConditionedError, InvalidInputError
 from bwfrechet.manifold import (
     SymOperator,
     TransportBatch,
-    check_spd,
     ot_map,
     ot_map_differential,
-    sym_basis,
     sym_coords,
     sym_dim,
     sym_from_coords,
     sym_part,
-    sym_sqrt,
     wasserstein_distance,
     weighted_dt_matrix,
 )
@@ -32,43 +29,33 @@ def random_sym(rng, d):
 
 
 # ---------------------------------------------------------------------------
-# square roots and validation
+# validation of SPD arguments, through ot_map's base and target
 # ---------------------------------------------------------------------------
 
 
-def test_sym_sqrt_diagonal():
-    assert_allclose(sym_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-
-
-def test_sym_sqrt_squares_back():
-    rng = np.random.default_rng(0)
-    for d in (2, 5, 9):
-        a = random_spd(rng, d)
-        r = sym_sqrt(a)
-        assert_allclose(r @ r, a, rtol=1e-10, atol=1e-10)
-        assert_allclose(r, r.T, atol=1e-12)
+def assert_rejected(a, error):
+    """ot_map raises ``error`` for ``a`` as its base and as its target."""
+    with pytest.raises(error):
+        ot_map(a, np.eye(2))
+    with pytest.raises(error):
+        ot_map(np.eye(2), a)
 
 
 def test_check_spd_rejects_asymmetric():
-    with pytest.raises(InvalidInputError):
-        check_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    assert_rejected(np.array([[1.0, 0.5], [0.0, 1.0]]), InvalidInputError)
 
 
 def test_check_spd_rejects_indefinite():
-    with pytest.raises(IllConditionedError):
-        check_spd(np.diag([1.0, -0.1]))
+    assert_rejected(np.diag([1.0, -0.1]), IllConditionedError)
 
 
 def test_check_spd_rejects_near_singular():
-    with pytest.raises(IllConditionedError):
-        check_spd(np.diag([1.0, 1e-14]))
+    assert_rejected(np.diag([1.0, 1e-14]), IllConditionedError)
 
 
 def test_check_spd_rejects_nonsquare_and_nonfinite():
-    with pytest.raises(InvalidInputError):
-        check_spd(np.ones((2, 3)))
-    with pytest.raises(InvalidInputError):
-        check_spd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    assert_rejected(np.ones((2, 3)), InvalidInputError)
+    assert_rejected(np.array([[np.nan, 0.0], [0.0, 1.0]]), InvalidInputError)
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +174,6 @@ def test_coords_batched():
     coords = sym_coords(stack)
     assert coords.shape == (5, sym_dim(3))
     assert_allclose(sym_from_coords(coords, 3), stack, atol=1e-12)
-
-
-def test_sym_basis_orthonormal():
-    for d in (2, 5):
-        basis = sym_basis(d)
-        m = sym_dim(d)
-        gram = np.einsum("iab,jab->ij", basis, basis)
-        assert_allclose(gram, np.eye(m), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

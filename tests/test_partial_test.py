@@ -30,7 +30,6 @@ from bwfrechet import partial_test as pt
 from bwfrechet.partial_test import (
     SplitDataset,
     fit_first_half,
-    impute_z,
     imputed_covariates,
     kernel_matrix,
     mixture_quantile,
@@ -82,7 +81,7 @@ def test_split_sizes_and_moments():
         assert_allclose(split.moments.mean, x[:n1_want].mean(axis=0), atol=1e-12)
         assert_allclose(split.moments.cov, (xc.T @ xc) / n1_want, atol=1e-12)
         assert_allclose(split.first_covariates, x[:n1_want], atol=0)
-        assert_allclose(split.second_responses, q[n1_want:], atol=0)
+        assert_allclose(split.second_covariates, x[n1_want:], atol=0)
 
 
 def test_split_validation():
@@ -127,10 +126,12 @@ def test_impute_hand_line():
     q = random_spd_stack(rng, 6, 2)
     split = split_dataset(Dataset(covariates=x, responses=q, p1=1))
     for y in (0.0, 0.25, 1.0, 3.0, -2.0):
-        assert_allclose(impute_z(np.array([y]), split.moments), [y], atol=1e-12)
+        assert_allclose(imputed_covariates(np.array([y, 5.0]), split.moments), [y, y], atol=1e-12)
     hat = imputed_covariates(x[3:], split.moments)
     assert_allclose(hat[:, 0], x[3:, 0], atol=0)
     assert_allclose(hat[:, 1], x[3:, 0], atol=1e-12)
+    with pytest.raises(InvalidInputError, match="trailing dimension"):
+        imputed_covariates(x[3:, :1], split.moments)
 
 
 def test_impute_zero_cross_covariance():
@@ -144,7 +145,7 @@ def test_impute_zero_cross_covariance():
     split = split_dataset(Dataset(covariates=x, responses=q, p1=1))
     assert_allclose(split.moments.cov[1, 0], 0.0, atol=1e-15)
     for y in (-2.0, 0.0, 1.3):
-        assert_allclose(impute_z(np.array([y]), split.moments), [0.0], atol=1e-12)
+        assert_allclose(imputed_covariates(np.array([y, 5.0]), split.moments), [y, 0.0], atol=1e-12)
 
 
 def test_impute_collinear_z_column():
@@ -155,7 +156,8 @@ def test_impute_collinear_z_column():
     q = random_spd_stack(rng, 12, 2)
     split = split_dataset(Dataset(covariates=x, responses=q, p1=2))
     probe = rng.uniform(-1, 1, (5, 2))
-    assert_allclose(impute_z(probe, split.moments)[:, 0], probe[:, 0], atol=1e-10)
+    hat = imputed_covariates(np.column_stack([probe, np.zeros(5)]), split.moments)
+    assert_allclose(hat[:, 2], probe[:, 0], atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +574,35 @@ def test_statistic_invariant_to_response_scaling_generic(c):
     # the unconverged fits go from 4 of 30 to 28 at c = 1e-3 and to 0 at
     # c = 1e4, where the statistic also moves by about 1e-4 relative
     assert_invariant_to_congruence(generic_dataset(30, 4, 2, 3, 22), lambda q: c * q)
+
+
+@pytest.mark.parametrize("example, n, seed", [(1, 120, 3), (2, 120, 7), (2, 80, 11)])
+def test_result_invariant_to_affine_maps_within_blocks(example, n, seed):
+    # y -> A y + b and z -> B z + C y + c leave the regression weights
+    # unchanged and move the imputed z with the observed one, so the
+    # statistic, the kernel spectrum and the p-value stay the same. The
+    # unconverged counts may differ: verdicts at the rounding floor of the
+    # objective move with the rounding of the weights
+    p_y, p_z = 3, 2
+    data, _ = generate(
+        SimConfig(example=example, n=n, p_y=p_y, p_z=p_z, d=4, delta_z=0.1, seed=seed)
+    )
+    rng = np.random.default_rng(seed + 100)
+    linear = np.zeros((p_y + p_z, p_y + p_z))
+    linear[:p_y, :p_y] = rng.standard_normal((p_y, p_y)) + 2.0 * np.eye(p_y)
+    linear[p_y:, p_y:] = rng.standard_normal((p_z, p_z)) + 2.0 * np.eye(p_z)
+    linear[p_y:, :p_y] = rng.standard_normal((p_z, p_y))
+    moved = Dataset(
+        covariates=data.covariates @ linear.T + rng.standard_normal(p_y + p_z),
+        responses=data.responses,
+        p1=p_y,
+    )
+    options = pt.TestOptions(max_nonconverged=1.0)
+    res = run_partial_test(data, options)
+    res2 = run_partial_test(moved, options)
+    assert_allclose(res2.statistic, res.statistic, rtol=1e-7)
+    assert_allclose(res2.eigenvalues, res.eigenvalues, rtol=0, atol=1e-7 * res.eigenvalues[0])
+    assert_allclose(res2.p_value, res.p_value, rtol=0, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
