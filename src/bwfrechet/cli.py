@@ -154,8 +154,6 @@ def _experiment_config(path, grid=None):
     """Read a study configuration and validate the generator settings of every
     configuration the study runs, as given by ``grid``, before any trial runs."""
     raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise InvalidInputError(f"{path}: expected a JSON object")
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = sorted(set(raw) - names)
     if unknown:

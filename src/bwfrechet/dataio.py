@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from .errors import InvalidInputError
-from .frechet import Dataset
+from .frechet import Dataset, is_integer
 from .manifold import not_pd
 
 DATASET_FORMAT = "bwfrechet-dataset"
@@ -42,14 +42,18 @@ def _float_cell(value):
 
 
 def read_json(path):
-    """Parse a JSON file; an unreadable or malformed file is invalid input."""
+    """Parse a JSON object from a file; an unreadable or malformed file, or
+    one whose top level is not an object, is invalid input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise InvalidInputError(f"{path}: expected a JSON object")
+    return payload
 
 
 def _write_json(path, payload):
@@ -119,16 +123,11 @@ def _require_keys(payload, keys, where):
 
 
 def _int_keys(payload, keys, where):
-    """The values at ``keys`` as integers; a value int() rejects is invalid input."""
-    values = []
+    """The values at ``keys``; any value but an integer is invalid input."""
     for key in keys:
-        try:
-            values.append(int(payload[key]))
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidInputError(
-                f"{where}: {key} must be an integer, got {payload[key]!r}"
-            ) from None
-    return values
+        if not is_integer(payload[key]):
+            raise InvalidInputError(f"{where}: {key} must be an integer, got {payload[key]!r}")
+    return [payload[key] for key in keys]
 
 
 def _check_header(payload, where):
@@ -172,7 +171,7 @@ def _load_json_dataset(path, p1_override):
             f"{path}: responses shape {responses.shape} does not match n={n}, d={d}"
         )
     if p1_override is not None:
-        p1 = int(p1_override)
+        p1 = p1_override
     if not np.all(np.isfinite(responses)):
         raise InvalidInputError(f"{path}: responses contain non-finite values")
     _precheck_responses(0.5 * (responses + responses.transpose(0, 2, 1)), list(range(n)), path)
@@ -202,7 +201,7 @@ def _load_tabular_dataset(path, p1_override):
     _require_keys(meta, ["n", "p", "p1", "d"], meta_path)
     n, p, d, p1 = _int_keys(meta, ("n", "p", "d", "p1"), meta_path)
     if p1_override is not None:
-        p1 = int(p1_override)
+        p1 = p1_override
 
     cov_path = os.path.join(path, _COV_NAME)
     header = ["sample_id"] + [f"x_{j + 1}" for j in range(p)]

@@ -43,6 +43,8 @@ _FIELD_KINDS = {
     float: (numbers.Real, "a number"),
     tuple: (numbers.Real, "a list of numbers"),
 }
+# tuple fields whose items are counts, with the same rule as the int fields
+_ITEM_KINDS = {"n_grid": (numbers.Integral, "a list of integers")}
 
 
 def _is_number(value, kind):
@@ -78,7 +80,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            kind, what = _FIELD_KINDS[f.type]
+            kind, what = _ITEM_KINDS.get(f.name) or _FIELD_KINDS[f.type]
             if f.type is tuple:
                 ok = isinstance(value, (tuple, list)) and all(_is_number(v, kind) for v in value)
                 if ok:

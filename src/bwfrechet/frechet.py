@@ -6,6 +6,7 @@ second-moment structure and can be negative, so the objective is minimized by
 projected gradient descent with backtracking rather than a fixed-point sweep.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,6 +18,11 @@ from .errors import (
     SingularError,
 )
 from .manifold import EPS_PD, not_pd, sym_part
+
+
+def is_integer(value):
+    """True for an integral number that is not a bool, the rule for every integer input."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _validate_responses(responses, eps_pd, name="responses"):
@@ -152,6 +158,8 @@ class Dataset:
             raise InvalidInputError(
                 f"sample mismatch: {x.shape[0]} covariate rows vs {q.shape[0]} responses"
             )
+        if not is_integer(self.p1):
+            raise InvalidInputError(f"p1 must be an integer, got {self.p1!r}")
         p1 = int(self.p1)
         if not 0 <= p1 <= x.shape[1]:
             raise InvalidInputError(f"p1 must lie in [0, {x.shape[1]}], got {self.p1}")
@@ -195,17 +203,15 @@ class SolverOptions:
     eps_pd: float = EPS_PD
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be at least 1")
+        if not is_integer(self.max_iters) or self.max_iters < 1:
+            raise InvalidInputError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.grad_tol <= 0:
             raise InvalidInputError("grad_tol must be positive")
 
 
-# Backtracking line search: the first step tried, the factor that shortens
-# a rejected step, and the shortest step tried before the descent stops.
-_INIT_STEP = 1.0
-_STEP_SHRINK = 0.5
-_MIN_STEP = 1e-8
+# Backtracking line search: the step lengths tried in turn, 1, 1/2, ..., 2^-26;
+# when none of them lowers the objective the descent stops.
+_STEPS = tuple(0.5**k for k in range(27))
 
 
 @dataclass(frozen=True)
@@ -219,22 +225,17 @@ class FitResult:
     objective: float
 
 
-class _NotPD(Exception):
-    # internal control flow: candidate iterate left the PD cone
-    pass
+def _eval_state(s, qs, trq, eps_pd):
+    """Objective pieces at iterate s: roots of W Q_i W and squared distances.
 
-
-def _pd_sqrt_pair(s, eps_pd):
+    W = S^{1/2}. Returns (W^{-1}, V, r, d2), or None when s is not positive
+    definite at ``eps_pd``.
+    """
     vals, vecs = np.linalg.eigh(s)
     if not_pd(vals, eps_pd):
-        raise _NotPD
-    r = np.sqrt(vals)
-    return (vecs * r) @ vecs.T, (vecs / r) @ vecs.T
-
-
-def _eval_state(s, qs, trq, eps_pd):
-    """Objective pieces at iterate s: roots of W Q_i W and squared distances."""
-    w, wi = _pd_sqrt_pair(s, eps_pd)
+        return None
+    root = np.sqrt(vals)
+    w, wi = (vecs * root) @ vecs.T, (vecs / root) @ vecs.T
     mid = w @ qs @ w
     mvals, mvecs = np.linalg.eigh(sym_part(mid))
     r = np.sqrt(np.clip(mvals, 0.0, None))
@@ -272,78 +273,68 @@ def _gradient(weights, wi, mvecs, r, wbar):
 def _fit_mean(qs, weights, options):
     """Descent loop on pre-validated response stack ``qs``.
 
+    Each pass computes the gradient at the current iterate and stops when
+    its norm is at most ``grad_tol`` times the iterate's trace (converged) or
+    when ``max_iters`` steps have been taken; otherwise it takes the longest
+    step in ``_STEPS`` that keeps the iterate positive definite and lowers
+    the objective, and stops unconverged when none does. ``iterations``
+    reports min(steps taken + 1, ``max_iters``).
+
     Returns the ``FitResult`` and the eigen-state (W^{-1}, V, r) at the
     returned mean S: W = S^{1/2}, and V_i, r_i**2 are the eigenvectors and
     eigenvalues of W Q_i W, so the transport map from S to Q_i is
     W^{-1} V_i diag(r_i) V_i^T W^{-1} (see ``TransportBatch.from_state``).
 
     Raises ``IllConditionedError`` when the initial iterate is not positive
-    definite at the solver threshold; every fit in the package runs through
-    here, so none of them can leak the internal ``_NotPD`` signal.
+    definite at the solver threshold.
     """
     n, d = qs.shape[0], qs.shape[-1]
     trq = np.trace(qs, axis1=1, axis2=2)
     eye = np.eye(d)
     s = _initial_iterate(qs, weights, options.eps_pd)
-
-    try:
-        wi, mvecs, r, d2 = _eval_state(s, qs, trq, options.eps_pd)
-    except _NotPD:
+    state = _eval_state(s, qs, trq, options.eps_pd)
+    if state is None:
         raise IllConditionedError(
             "initial iterate is not positive definite at the solver threshold"
-        ) from None
+        )
+    wi, mvecs, r, d2 = state
     obj = float(np.dot(weights, d2) / n)
     wbar = weights.mean()
-    iterations = 0
-    converged = False
-    grad_norm = np.inf
-
-    for iterations in range(1, options.max_iters + 1):
+    steps = 0
+    while True:
         # gradient-like direction: average of weighted transport maps minus identity
         g = _gradient(weights, wi, mvecs, r, wbar)
         grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= options.grad_tol * np.trace(s):
-            converged = True
+        converged = bool(grad_norm <= options.grad_tol * np.trace(s))
+        if converged or steps == options.max_iters:
             break
-
         gvals = np.linalg.eigvalsh(g)
-        eta = _INIT_STEP
-        accepted = False
-        while eta >= _MIN_STEP:
-            if 1.0 + eta * gvals[0] > options.eps_pd:
-                step = eye + eta * g
-                cand = sym_part(step @ s @ step)
-                try:
-                    state = _eval_state(cand, qs, trq, options.eps_pd)
-                except _NotPD:
-                    eta *= _STEP_SHRINK
-                    continue
-                cand_obj = float(np.dot(weights, state[3]) / n)
-                if cand_obj < obj:
-                    s = cand
-                    wi, mvecs, r, d2 = state
-                    obj = cand_obj
-                    accepted = True
-                    break
-            eta *= _STEP_SHRINK
-        if not accepted:
-            break
-
-    if not converged:
-        # state (wi, mvecs, r) is in sync with s, so re-evaluating the
-        # gradient at the final iterate is cheap
-        g = _gradient(weights, wi, mvecs, r, wbar)
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= options.grad_tol * np.trace(s):
-            converged = True
+        for eta in _STEPS:
+            if 1.0 + eta * gvals[0] <= options.eps_pd:
+                continue
+            step = eye + eta * g
+            cand = sym_part(step @ s @ step)
+            state = _eval_state(cand, qs, trq, options.eps_pd)
+            if state is None:
+                continue
+            cand_obj = float(np.dot(weights, state[3]) / n)
+            if cand_obj < obj:
+                s = cand
+                wi, mvecs, r, d2 = state
+                obj = cand_obj
+                break
         else:
-            warnings.warn(
-                f"weighted Frechet mean did not converge in {iterations} iterations "
-                f"(gradient norm {grad_norm:.3g}); returning best iterate",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            break
+        steps += 1
 
+    iterations = min(steps + 1, options.max_iters)
+    if not converged:
+        warnings.warn(
+            f"weighted Frechet mean did not converge in {iterations} iterations "
+            f"(gradient norm {grad_norm:.3g}); returning best iterate",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     fit = FitResult(
         mean=s,
         converged=converged,

@@ -119,7 +119,7 @@ def imputed_covariates(x, moments):
     return np.concatenate([y, zhat], axis=-1)
 
 
-# Imputed points fitted and evaluated together: the solver states of one
+# Evaluation points fitted and evaluated together: the solver states of one
 # block, O(_BLOCK n1 d^2) doubles, are all the evaluation holds besides the
 # n1 x n1 kernel.
 _BLOCK = 32
@@ -137,18 +137,6 @@ def _fit_pool(threads):
             yield None
 
 
-def _fit_rows(q, x_fit, moments, rows, options, pool):
-    """Regression fits at covariate ``rows``, in order, without solver state."""
-    def fit(x):
-        return _fit_mean(q, regression_weights(x, x_fit, moments), options)[0]
-
-    return [fit(x) for x in rows] if pool is None else list(pool.map(fit, rows))
-
-
-def _means(results):
-    return np.stack([r.mean for r in results])
-
-
 @dataclass
 class FirstHalfFit:
     """The first-half regression fits and what the test builds from them.
@@ -157,9 +145,9 @@ class FirstHalfFit:
     ``means_second_imputed[k]`` the fit at that row with the trailing block
     imputed from the retained block. ``discrepancy`` is the statistic
     before its reliability gate and ``kernel`` the n1 x n1 calibration
-    kernel; both are accumulated point by point while the imputed fits run,
-    so the transport maps and curvature operators at the imputed points are
-    never stored and the memory held is O(n1^2).
+    kernel; both are accumulated point by point as each block of points is
+    fitted, so the transport maps and curvature operators at the imputed
+    points are never stored and the memory held is O(n1^2).
     ``min_hessian_eigenvalue`` is the smallest curvature eigenvalue over
     those points. All fits use first-half responses and first-half
     moments only; ``n_fits`` and ``nonconverged`` count the 2 n2 fits at
@@ -186,9 +174,10 @@ class FirstHalfFit:
         (``perfbench/workloads.py``) replays them.
         """
         s = self.split
-        x1 = s.first_covariates
-        with _fit_pool(1) as pool:
-            return _means(_fit_rows(s.first_responses, x1, s.moments, x1, self.options, pool))
+        q1, x1, m = s.first_responses, s.first_covariates, s.moments
+        with _fit_pool(1):
+            fits = [_fit_mean(q1, regression_weights(x, x1, m), self.options)[0] for x in x1]
+        return np.stack([r.mean for r in fits])
 
 
 def fit_first_half(split, options=None, threads=1):
@@ -196,9 +185,9 @@ def fit_first_half(split, options=None, threads=1):
 
     These are the fits at the second-half covariate rows x_k and at their
     imputations xhat_k, all with first-half responses, covariates and
-    moments. The imputed rows are fitted in blocks of ``_BLOCK``, and each
-    point k is then evaluated from its solver's final eigen-state, in index
-    order:
+    moments. The points are fitted in blocks of ``_BLOCK``, one task per
+    point k returning both of its fits, and each point of the block is then
+    evaluated from its imputed fit's final eigen-state, in index order:
 
     - the transports T_ki to every first-half response, whose centred
       coordinates, scaled by the regression-weight gap
@@ -208,8 +197,9 @@ def fit_first_half(split, options=None, threads=1):
       gives the statistic term ||H_k (observed fit - imputed fit)||_F^2
       and the smallest curvature eigenvalue, and is then dropped.
 
-    Fits are mutually independent, so ``threads`` > 1 distributes them over
-    a thread pool. Reductions run in the fixed order above, so results are
+    Fits are mutually independent, so ``threads`` > 1 distributes the tasks
+    of a block over a thread pool; the evaluation stays in the calling
+    thread. Reductions run in the fixed order above, so results are
     bit-identical for any thread count, and no n2 x n1 x d x d transport
     stack exists.
     """
@@ -224,29 +214,34 @@ def fit_first_half(split, options=None, threads=1):
     gap = x2 - xhat2
     eye = np.eye(d)
 
-    def fit(w):
-        return _fit_mean(q1, w, options)
+    def fit_point(k):
+        # both fits of point k: at the observed row, and at the imputed row
+        # with its weights and final solver state
+        w = regression_weights(xhat2[k], x1, m)
+        observed = _fit_mean(q1, regression_weights(x2[k], x1, m), options)[0]
+        return observed, w, _fit_mean(q1, w, options)
 
+    fits_observed = []
     fits_imputed = []
     kernel = np.zeros((n1, n1))
     discrepancy = 0.0
     min_eig = np.inf
     with _fit_pool(threads) as pool:
-        fits_observed = _fit_rows(q1, x1, m, x2, options, pool)
+        fit_map = map if pool is None else pool.map
         for start in range(0, split.n2, _BLOCK):
             rows = range(start, min(start + _BLOCK, split.n2))
-            weights = [regression_weights(xhat2[k], x1, m) for k in rows]
-            fitted = [fit(w) for w in weights] if pool is None else list(pool.map(fit, weights))
+            fitted = list(fit_map(fit_point, rows))
             dw = gap[start : rows.stop] @ dw_map
             u = np.empty((n1, len(rows), sym_dim(d)))
-            for j, (k, w, (result, state)) in enumerate(zip(rows, weights, fitted)):
+            for j, (observed, w, (result, state)) in enumerate(fitted):
                 batch = TransportBatch.from_state(*state)
                 cong, gamma = batch.dt_factors()
                 hessian = -weighted_dt_matrix(cong, gamma, w / n1)
-                image = hessian @ sym_coords(fits_observed[k].mean - result.mean)
+                image = hessian @ sym_coords(observed.mean - result.mean)
                 discrepancy += float(image @ image)
                 min_eig = min(min_eig, float(np.linalg.eigvalsh(hessian)[0]))
                 u[:, j] = dw[j][:, None] * sym_coords(batch.maps() - eye)
+                fits_observed.append(observed)
                 fits_imputed.append(result)
             flat = u.reshape(n1, -1)
             kernel += flat @ flat.T
@@ -256,8 +251,8 @@ def fit_first_half(split, options=None, threads=1):
     return FirstHalfFit(
         split=split,
         options=options,
-        means_second=_means(fits_observed),
-        means_second_imputed=_means(fits_imputed),
+        means_second=np.stack([r.mean for r in fits_observed]),
+        means_second_imputed=np.stack([r.mean for r in fits_imputed]),
         discrepancy=discrepancy,
         kernel=kernel,
         n_fits=len(results),

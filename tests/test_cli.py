@@ -132,6 +132,11 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     rc = run_cli("test", "--data", str(data_path), "--permute-seed", "-1")
     assert rc == 2
     assert "permute_seed" in capsys.readouterr().err
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    rc = run_cli("test", "--data", str(listed))
+    assert rc == 2
+    assert "expected a JSON object" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):

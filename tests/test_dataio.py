@@ -201,11 +201,18 @@ def test_tabular_header_and_counts(tmp_path):
     with pytest.raises(InvalidInputError, match="duplicate sample_id"):
         load_dataset(path3)
 
-    for key, value in (("n", "twelve"), ("p1", None)):
-        path4 = tmp_path / f"tab-{key}"
+    # a float or a bool is no count, even where int() would take it
+    for key, value in (("n", "twelve"), ("p1", None), ("n", 2.9), ("p1", True)):
+        path4 = tmp_path / f"tab-{key}-{value}"
         write_tabular_by_hand(path4, {**BASE_META, key: value}, BASE_COV, BASE_RESP)
         with pytest.raises(InvalidInputError, match=f"{key} must be an integer"):
             load_dataset(path4)
+
+    path5 = tmp_path / "tab-list"
+    write_tabular_by_hand(path5, BASE_META, BASE_COV, BASE_RESP)
+    (path5 / "meta.json").write_text("[1, 2]")
+    with pytest.raises(InvalidInputError, match="expected a JSON object"):
+        load_dataset(path5)
 
 
 def test_version_1_dataset_loads(tmp_path):
@@ -245,12 +252,16 @@ def test_json_validation(tmp_path):
     with pytest.raises(InvalidInputError, match="shape"):
         load_dataset(bad)
 
-    for key, value in (("n", "twelve"), ("p1", None)):
+    for key, value in (("n", "twelve"), ("p1", None), ("n", 8.9), ("p1", True), ("d", "3")):
         payload = json.loads(path.read_text())
         payload[key] = value
         bad.write_text(json.dumps(payload))
         with pytest.raises(InvalidInputError, match=f"{key} must be an integer"):
             load_dataset(bad)
+
+    bad.write_text("[1, 2]")
+    with pytest.raises(InvalidInputError, match="expected a JSON object"):
+        load_dataset(bad)
 
 # ---------------------------------------------------------------------------
 # checksums and result envelopes
@@ -303,6 +314,9 @@ def test_result_envelope_roundtrip(tmp_path):
     payload["format"] = "nope"
     bad.write_text(json.dumps(payload))
     with pytest.raises(InvalidInputError):
+        load_result(bad)
+    bad.write_text("[1, 2]")
+    with pytest.raises(InvalidInputError, match="expected a JSON object"):
         load_result(bad)
 
 

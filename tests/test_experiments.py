@@ -81,7 +81,8 @@ def test_experiment_config_validation():
     with pytest.raises(InvalidInputError, match="seed"):
         ExperimentConfig(seed=-1)
     for key, value in (("trials", "2"), ("seed", 1.5), ("alpha", None),
-                       ("delta_grid", ("a",)), ("n_grid", 100), ("lattice", (float("nan"),))):
+                       ("delta_grid", ("a",)), ("n_grid", 100), ("lattice", (float("nan"),)),
+                       ("n_grid", (24.9,)), ("n_grid", [24, 48.0])):
         with pytest.raises(InvalidInputError, match=key):
             ExperimentConfig(**{key: value})
     assert ExperimentConfig(delta_grid=[0.0, 0.2]).delta_grid == (0.0, 0.2)

@@ -14,6 +14,7 @@ from bwfrechet.frechet import (
     weighted_frechet_mean,
 )
 from bwfrechet.manifold import ot_map, ot_map_differential, sym_part
+from bwfrechet.simgen import SimConfig, generate
 
 
 def random_spd(rng, d, spread=1.0):
@@ -87,6 +88,9 @@ def test_dataset_rejects_bad_responses():
         Dataset(x, np.stack([np.eye(2), np.diag([1.0, -1.0])]), p1=1)
     with pytest.raises(InvalidInputError):
         Dataset(x, np.stack([np.eye(2)]), p1=1)  # count mismatch
+    for p1 in (1.7, True, "2", None):
+        with pytest.raises(InvalidInputError, match="p1 must be an integer"):
+            Dataset(np.zeros((2, 3)), np.stack([np.eye(2)] * 2), p1=p1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +160,9 @@ def test_mean_warns_when_iteration_budget_exhausted():
 
 
 def test_solver_options_validation():
-    with pytest.raises(InvalidInputError):
-        SolverOptions(max_iters=0)
+    for max_iters in (0, 2.5, True):
+        with pytest.raises(InvalidInputError, match="max_iters"):
+            SolverOptions(max_iters=max_iters)
     with pytest.raises(InvalidInputError):
         SolverOptions(grad_tol=0.0)
 
@@ -227,6 +232,34 @@ def test_regress_commuting_tracks_linear_model():
     fit = frechet_regress(data, np.array([0.25]))
     expected = np.diag(np.full(d, (2.0 + 0.5 * 0.25) ** 2))
     assert_allclose(fit.mean, expected, rtol=1e-6, atol=1e-8)
+
+
+def test_reported_iterations():
+    # iterations counts the accepted steps plus one, capped at max_iters
+    def fit_at(example, options):
+        data, _ = generate(SimConfig(example=example, n=100, p_y=3, p_z=3, d=6, seed=1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = frechet_regress(data, data.covariates[0], options=options)
+        return data, fit, [str(w.message) for w in caught]
+
+    # example 1's responses commute: one step lands on the solution
+    _, fit, caught = fit_at(1, SolverOptions())
+    assert fit.converged and fit.iterations == 2 and not caught
+    for max_iters in (1, 3):
+        _, fit, caught = fit_at(2, SolverOptions(max_iters=max_iters, grad_tol=1e-14))
+        assert fit.converged is False and fit.iterations == max_iters
+        assert f"did not converge in {max_iters} iterations" in caught[0]
+
+    # no fit reaches this tolerance, so the descent stalls at its rounding
+    # floor after a count that depends on rounding
+    data, fit, caught = fit_at(2, SolverOptions(grad_tol=1e-300))
+    assert fit.converged is False and 1 < fit.iterations < 500
+    assert f"did not converge in {fit.iterations} iterations" in caught[0]
+    x = data.covariates
+    w = regression_weights(x[0], x, CovariateMoments.from_covariates(x, data.p1))
+    grad = sum(wi * ot_map(fit.mean, q) for wi, q in zip(w, data.responses)) / len(w)
+    assert_allclose(fit.grad_norm, np.linalg.norm(grad - w.mean() * np.eye(6)), rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------
