@@ -16,8 +16,6 @@ sample sizes in the consistency study. Failed trials are recorded with the
 error message rather than dropped.
 """
 
-import math
-import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -26,7 +24,14 @@ from itertools import product, repeat
 import numpy as np
 
 from .errors import BwfrechetError, InvalidInputError
-from .frechet import CovariateMoments, SolverOptions, frechet_regress
+from .frechet import (
+    CovariateMoments,
+    SolverOptions,
+    check_fields,
+    frechet_regress,
+    is_integer,
+    is_real,
+)
 from .partial_test import (
     TestOptions,
     imputed_covariates,
@@ -37,18 +42,8 @@ from .partial_test import (
 from .simgen import SimConfig, generate, population_qstar
 
 
-# what each field type of ExperimentConfig accepts, and how its error names it
-_FIELD_KINDS = {
-    int: (numbers.Integral, "an integer"),
-    float: (numbers.Real, "a number"),
-    tuple: (numbers.Real, "a list of numbers"),
-}
-# tuple fields whose items are counts, with the same rule as the int fields
-_ITEM_KINDS = {"n_grid": (numbers.Integral, "a list of integers")}
-
-
-def _is_number(value, kind):
-    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+# the items of a tuple field are numbers, and those of n_grid counts
+_ITEM_RULES = {"n_grid": (is_integer, "a list of integers")}
 
 
 @dataclass(frozen=True)
@@ -78,17 +73,14 @@ class ExperimentConfig:
     lattice: tuple = (-0.5, 0.0, 0.5)
 
     def __post_init__(self):
+        check_fields(self)
         for f in fields(self):
-            value = getattr(self, f.name)
-            kind, what = _ITEM_KINDS.get(f.name) or _FIELD_KINDS[f.type]
             if f.type is tuple:
-                ok = isinstance(value, (tuple, list)) and all(_is_number(v, kind) for v in value)
-                if ok:
-                    object.__setattr__(self, f.name, tuple(value))
-            else:
-                ok = _is_number(value, kind)
-            if not ok:
-                raise InvalidInputError(f"{f.name} must be {what}, got {value!r}")
+                value = getattr(self, f.name)
+                check, what = _ITEM_RULES.get(f.name, (is_real, "a list of numbers"))
+                if not (isinstance(value, (tuple, list)) and all(check(v) for v in value)):
+                    raise InvalidInputError(f"{f.name} must be {what}, got {value!r}")
+                object.__setattr__(self, f.name, tuple(value))
         if self.trials < 1 or self.consistency_trials < 1:
             raise InvalidInputError("trial counts must be positive")
         if self.processes < 1:

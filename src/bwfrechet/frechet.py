@@ -6,9 +6,10 @@ second-moment structure and can be negative, so the objective is minimized by
 projected gradient descent with backtracking rather than a fixed-point sweep.
 """
 
+import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .errors import (
     InvalidInputError,
     SingularError,
 )
-from .manifold import EPS_PD, not_pd, sym_part
+from .manifold import EPS_PD, TransportBatch, not_pd, sym_part
 
 
 def is_integer(value):
@@ -25,7 +26,30 @@ def is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _validate_responses(responses, eps_pd, name="responses"):
+def is_real(value):
+    """True for a finite real number that is not a bool, the rule for every real input."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# the rule for each field annotation that check_fields enforces, and how its
+# error names it
+_FIELD_RULES = {
+    int: (is_integer, "an integer"),
+    float: (is_real, "a number"),
+    int | None: (lambda value: value is None or is_integer(value), "an integer or None"),
+}
+
+
+def check_fields(obj, error=InvalidInputError):
+    """Raise ``error`` at the first field of dataclass ``obj`` that breaks its annotation's rule."""
+    for f in fields(obj):
+        check, what = _FIELD_RULES.get(f.type, (None, None))
+        value = getattr(obj, f.name)
+        if check is not None and not check(value):
+            raise error(f"{f.name} must be {what}, got {value!r}")
+
+
+def _validate_responses(responses, name="responses"):
     responses = np.asarray(responses, dtype=float)
     if responses.ndim != 3 or responses.shape[-1] != responses.shape[-2]:
         raise InvalidInputError(f"{name}: expected shape (n, d, d), got {responses.shape}")
@@ -40,7 +64,7 @@ def _validate_responses(responses, eps_pd, name="responses"):
         raise InvalidInputError(f"{name}: matrix for sample {worst} is not symmetric")
     responses = sym_part(responses)
     vals = np.linalg.eigvalsh(responses)
-    bad = not_pd(vals, eps_pd)
+    bad = not_pd(vals)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise InvalidInputError(
@@ -82,6 +106,8 @@ class CovariateMoments:
             raise InvalidInputError("covariates: need at least one row")
         if not np.all(np.isfinite(x)):
             raise InvalidInputError("covariates: non-finite entries")
+        if not is_integer(p1):
+            raise InvalidInputError(f"p1 must be an integer, got {p1!r}")
         p1 = int(p1)
         if not 0 <= p1 <= p:
             raise InvalidInputError(f"p1 must lie in [0, {p}], got {p1}")
@@ -153,13 +179,12 @@ class Dataset:
             raise InvalidInputError(f"covariates: expected shape (n, p), got {x.shape}")
         if not np.all(np.isfinite(x)):
             raise InvalidInputError("covariates: non-finite entries")
-        q = _validate_responses(self.responses, EPS_PD)
+        q = _validate_responses(self.responses)
         if q.shape[0] != x.shape[0]:
             raise InvalidInputError(
                 f"sample mismatch: {x.shape[0]} covariate rows vs {q.shape[0]} responses"
             )
-        if not is_integer(self.p1):
-            raise InvalidInputError(f"p1 must be an integer, got {self.p1!r}")
+        check_fields(self)
         p1 = int(self.p1)
         if not 0 <= p1 <= x.shape[1]:
             raise InvalidInputError(f"p1 must lie in [0, {x.shape[1]}], got {self.p1}")
@@ -190,23 +215,23 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs for the weighted Frechet mean descent.
+    """Stopping rule of the weighted Frechet mean descent.
 
     A fit stops when the gradient norm is at most ``grad_tol`` times the
     trace of the iterate, after ``max_iters`` iterations, or when the line
-    search finds no descent step. ``eps_pd`` is the relative threshold below
-    which an iterate counts as not positive definite.
+    search finds no descent step. Every iterate is positive definite at
+    ``manifold.EPS_PD``, the one threshold of the package.
     """
 
     max_iters: int = 500
     grad_tol: float = 1e-8
-    eps_pd: float = EPS_PD
 
     def __post_init__(self):
-        if not is_integer(self.max_iters) or self.max_iters < 1:
-            raise InvalidInputError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        check_fields(self)
+        if self.max_iters < 1:
+            raise InvalidInputError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.grad_tol <= 0:
-            raise InvalidInputError("grad_tol must be positive")
+            raise InvalidInputError(f"grad_tol must be positive, got {self.grad_tol}")
 
 
 # Backtracking line search: the step lengths tried in turn, 1, 1/2, ..., 2^-26;
@@ -225,49 +250,33 @@ class FitResult:
     objective: float
 
 
-def _eval_state(s, qs, trq, eps_pd):
-    """Objective pieces at iterate s: roots of W Q_i W and squared distances.
+def _eval_state(s, qs, trq):
+    """Objective pieces at iterate s: the transports to the responses and squared distances.
 
-    W = S^{1/2}. Returns (W^{-1}, V, r, d2), or None when s is not positive
-    definite at ``eps_pd``.
+    Returns (batch, d2), with ``batch`` the ``TransportBatch`` from s to the
+    responses, or None when s is not positive definite.
     """
     vals, vecs = np.linalg.eigh(s)
-    if not_pd(vals, eps_pd):
+    if not_pd(vals):
         return None
-    root = np.sqrt(vals)
-    w, wi = (vecs * root) @ vecs.T, (vecs / root) @ vecs.T
-    mid = w @ qs @ w
-    mvals, mvecs = np.linalg.eigh(sym_part(mid))
-    r = np.sqrt(np.clip(mvals, 0.0, None))
-    d2 = np.trace(s) + trq - 2.0 * r.sum(axis=1)
-    return wi, mvecs, r, d2
+    batch = TransportBatch.from_eigh(vals, vecs, qs)
+    d2 = np.trace(s) + trq - 2.0 * batch.sqrt_mu.sum(axis=1)
+    return batch, d2
 
 
-def _initial_iterate(qs, weights, eps_pd):
+def _initial_iterate(qs, weights):
     """The weighted Euclidean average of the responses, if positive definite.
 
     Otherwise, as negative weights can make it, the square of the plain mean
     of the responses' square roots.
     """
     start = sym_part(np.tensordot(weights, qs, axes=(0, 0)) / max(weights.sum(), 1.0))
-    if not_pd(np.linalg.eigvalsh(start), eps_pd):
+    if not_pd(np.linalg.eigvalsh(start)):
         vals, vecs = np.linalg.eigh(qs)
         roots = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.transpose(0, 2, 1)
         mean_root = roots.mean(axis=0)
         start = sym_part(mean_root @ mean_root)
     return start
-
-
-def _gradient(weights, wi, mvecs, r, wbar):
-    """Gradient (1/n) sum_i w_i T_i - mean(w) I from the eigen-state at an iterate.
-
-    T_i = W^{-1} V_i diag(r_i) V_i^T W^{-1}. The contraction stays a plain
-    ``einsum``: a BLAS ``tensordot`` is about 9x faster at n = 400, d = 6,
-    but its different rounding moves fits that stall at the rounding floor
-    of the objective, and which of them count as converged changes with it.
-    """
-    p = np.einsum("i,iab,ib,icb->ac", weights, mvecs, r, mvecs) / weights.shape[0]
-    return sym_part(wi @ p @ wi) - wbar * np.eye(wi.shape[0])
 
 
 def _fit_mean(qs, weights, options):
@@ -280,47 +289,45 @@ def _fit_mean(qs, weights, options):
     the objective, and stops unconverged when none does. ``iterations``
     reports min(steps taken + 1, ``max_iters``).
 
-    Returns the ``FitResult`` and the eigen-state (W^{-1}, V, r) at the
-    returned mean S: W = S^{1/2}, and V_i, r_i**2 are the eigenvectors and
-    eigenvalues of W Q_i W, so the transport map from S to Q_i is
-    W^{-1} V_i diag(r_i) V_i^T W^{-1} (see ``TransportBatch.from_state``).
+    Returns the ``FitResult`` and the ``TransportBatch`` from the returned
+    mean to the responses, which the solver built at that iterate.
 
     Raises ``IllConditionedError`` when the initial iterate is not positive
-    definite at the solver threshold.
+    definite; for responses that pass ``_validate_responses`` this cannot
+    happen, as the fallback start's condition number is at most the largest
+    among the responses, so the check is only a safeguard.
     """
     n, d = qs.shape[0], qs.shape[-1]
     trq = np.trace(qs, axis1=1, axis2=2)
     eye = np.eye(d)
-    s = _initial_iterate(qs, weights, options.eps_pd)
-    state = _eval_state(s, qs, trq, options.eps_pd)
+    s = _initial_iterate(qs, weights)
+    state = _eval_state(s, qs, trq)
     if state is None:
-        raise IllConditionedError(
-            "initial iterate is not positive definite at the solver threshold"
-        )
-    wi, mvecs, r, d2 = state
+        raise IllConditionedError("initial iterate is not positive definite")
+    batch, d2 = state
     obj = float(np.dot(weights, d2) / n)
     wbar = weights.mean()
     steps = 0
     while True:
         # gradient-like direction: average of weighted transport maps minus identity
-        g = _gradient(weights, wi, mvecs, r, wbar)
+        g = batch.mean_map(weights) - wbar * eye
         grad_norm = float(np.linalg.norm(g))
         converged = bool(grad_norm <= options.grad_tol * np.trace(s))
         if converged or steps == options.max_iters:
             break
         gvals = np.linalg.eigvalsh(g)
         for eta in _STEPS:
-            if 1.0 + eta * gvals[0] <= options.eps_pd:
+            if 1.0 + eta * gvals[0] <= EPS_PD:
                 continue
             step = eye + eta * g
             cand = sym_part(step @ s @ step)
-            state = _eval_state(cand, qs, trq, options.eps_pd)
+            state = _eval_state(cand, qs, trq)
             if state is None:
                 continue
-            cand_obj = float(np.dot(weights, state[3]) / n)
+            cand_obj = float(np.dot(weights, state[1]) / n)
             if cand_obj < obj:
                 s = cand
-                wi, mvecs, r, d2 = state
+                batch = state[0]
                 obj = cand_obj
                 break
         else:
@@ -342,7 +349,7 @@ def _fit_mean(qs, weights, options):
         grad_norm=grad_norm,
         objective=obj,
     )
-    return fit, (wi, mvecs, r)
+    return fit, batch
 
 
 def weighted_frechet_mean(responses, weights, options=None):
@@ -364,7 +371,7 @@ def weighted_frechet_mean(responses, weights, options=None):
         RuntimeWarning is emitted.
     """
     options = options or SolverOptions()
-    qs = _validate_responses(responses, options.eps_pd)
+    qs = _validate_responses(responses)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (qs.shape[0],):
         raise InvalidInputError(

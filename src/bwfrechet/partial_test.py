@@ -15,10 +15,11 @@ random draws: the error is about 1e-14 absolute, and about 1e-13 relative in
 the upper tail.
 
 Both the statistic and the kernel come from the transport maps at the
-imputed evaluation points. They are accumulated point by point from each
-fit's final solver state, in fixed-size blocks and in index order, so the
-transports are never stored: memory is O(n1^2) for the kernel plus one
-block of solver states, and results are bit-identical for any thread count.
+imputed evaluation points. They are accumulated point by point from the
+``TransportBatch`` each fit's solver holds at its mean, in fixed-size blocks
+and in index order, so the transports are never stored: memory is O(n1^2)
+for the kernel plus one block of batches, and results are bit-identical for
+any thread count.
 """
 
 import contextlib
@@ -36,10 +37,10 @@ from .frechet import (
     Dataset,
     SolverOptions,
     _fit_mean,
+    check_fields,
     regression_weights,
 )
 from .manifold import (
-    TransportBatch,
     sym_coords,
     sym_dim,
     sym_part,
@@ -119,8 +120,8 @@ def imputed_covariates(x, moments):
     return np.concatenate([y, zhat], axis=-1)
 
 
-# Evaluation points fitted and evaluated together: the solver states of one
-# block, O(_BLOCK n1 d^2) doubles, are all the evaluation holds besides the
+# Evaluation points fitted and evaluated together: the transport batches of
+# one block, O(_BLOCK n1 d^2) doubles, are all the evaluation holds besides the
 # n1 x n1 kernel.
 _BLOCK = 32
 
@@ -187,7 +188,8 @@ def fit_first_half(split, options=None, threads=1):
     imputations xhat_k, all with first-half responses, covariates and
     moments. The points are fitted in blocks of ``_BLOCK``, one task per
     point k returning both of its fits, and each point of the block is then
-    evaluated from its imputed fit's final eigen-state, in index order:
+    evaluated, in index order, from the ``TransportBatch`` that the solver
+    returns with its imputed fit:
 
     - the transports T_ki to every first-half response, whose centred
       coordinates, scaled by the regression-weight gap
@@ -216,7 +218,7 @@ def fit_first_half(split, options=None, threads=1):
 
     def fit_point(k):
         # both fits of point k: at the observed row, and at the imputed row
-        # with its weights and final solver state
+        # with its weights and its transports to the first-half responses
         w = regression_weights(xhat2[k], x1, m)
         observed = _fit_mean(q1, regression_weights(x2[k], x1, m), options)[0]
         return observed, w, _fit_mean(q1, w, options)
@@ -233,8 +235,7 @@ def fit_first_half(split, options=None, threads=1):
             fitted = list(fit_map(fit_point, rows))
             dw = gap[start : rows.stop] @ dw_map
             u = np.empty((n1, len(rows), sym_dim(d)))
-            for j, (observed, w, (result, state)) in enumerate(fitted):
-                batch = TransportBatch.from_state(*state)
+            for j, (observed, w, (result, batch)) in enumerate(fitted):
                 cong, gamma = batch.dt_factors()
                 hessian = -weighted_dt_matrix(cong, gamma, w / n1)
                 image = hessian @ sym_coords(observed.mean - result.mean)
@@ -501,6 +502,7 @@ class TestOptions:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 < self.alpha < 1.0:
             raise InvalidInputError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.threads < 1:

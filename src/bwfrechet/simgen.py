@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedError, InvalidConfigError, InvalidInputError
-from .frechet import Dataset
+from .frechet import Dataset, check_fields
 from .manifold import EPS_PD
 
 # E|V| for the diagonal scale V ~ Uniform[-0.9, 1.1]
@@ -45,6 +45,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, InvalidConfigError)
         if self.example not in (1, 2):
             raise InvalidConfigError(f"example must be 1 or 2, got {self.example}")
         if self.n < 1:
@@ -57,8 +58,6 @@ class SimConfig:
             raise InvalidConfigError(f"d must be positive, got {self.d}")
         if self.example == 2 and self.d % 2 != 0:
             raise InvalidConfigError(f"example 2 needs even d, got {self.d}")
-        if not np.isfinite(self.delta_z):
-            raise InvalidConfigError("delta_z must be finite")
         bound = 2.0 / (self.p_y + self.p_z)
         if not abs(self.delta_z) < bound:
             raise InvalidConfigError(

@@ -13,8 +13,8 @@ from bwfrechet.frechet import (
     regression_weights,
     weighted_frechet_mean,
 )
-from bwfrechet.manifold import ot_map, ot_map_differential, sym_part
-from bwfrechet.simgen import SimConfig, generate
+from bwfrechet.manifold import EPS_PD, ot_map, ot_map_differential, sym_part
+from bwfrechet.simgen import SimConfig, generate, haar_orthogonal
 
 
 def random_spd(rng, d, spread=1.0):
@@ -63,6 +63,10 @@ def test_moments_validation():
         CovariateMoments.from_covariates(np.ones((3, 2)), p1=5)
     with pytest.raises(InvalidInputError):
         CovariateMoments.from_covariates(np.full((3, 2), np.nan), p1=1)
+    x = np.random.default_rng(0).standard_normal((10, 3))
+    for p1 in (1.7, True, "2"):
+        with pytest.raises(InvalidInputError, match="p1"):
+            CovariateMoments.from_covariates(x, p1=p1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +167,9 @@ def test_solver_options_validation():
     for max_iters in (0, 2.5, True):
         with pytest.raises(InvalidInputError, match="max_iters"):
             SolverOptions(max_iters=max_iters)
-    with pytest.raises(InvalidInputError):
-        SolverOptions(grad_tol=0.0)
+    for grad_tol in (0.0, float("nan"), "1e-8"):
+        with pytest.raises(InvalidInputError, match="grad_tol"):
+            SolverOptions(grad_tol=grad_tol)
 
 
 def test_indefinite_euclidean_start_falls_back_to_root_mean():
@@ -188,6 +193,28 @@ def test_indefinite_euclidean_start_falls_back_to_root_mean():
     # transport maps built afresh
     grad = sum(wi * ot_map(fit.mean, q) for wi, q in zip(w, qs)) / len(w) - w.mean() * np.eye(d)
     assert np.linalg.norm(grad) <= 1e-7 * np.trace(fit.mean)
+
+
+def test_fallback_start_is_pd_for_valid_responses():
+    # responses of condition number up to about 4e9 along one shared
+    # direction, and weight -1 on the one stretched along another: the
+    # Euclidean start is indefinite, and the square-root start has a condition
+    # number no larger than the responses', so it is PD at EPS_PD and the
+    # solver runs without error
+    rng = np.random.default_rng(83)
+    u = haar_orthogonal(3, rng)
+    scales = rng.uniform(0.5, 1.5, (4, 3)) * np.array([1.0, 1.0, 1e-9])
+    scales[3, 0] = 5.0
+    qs = np.einsum("ab,nb,cb->nac", u, scales, u)
+    w = np.array([1.0, 1.0, 1.0, -1.0])
+    vals = np.linalg.eigvalsh(qs)
+    assert np.all(vals[:, 0] > EPS_PD * vals[:, -1])
+    assert np.linalg.eigvalsh(np.tensordot(w, qs, axes=(0, 0)))[0] < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit = weighted_frechet_mean(qs, w)
+    mean_vals = np.linalg.eigvalsh(fit.mean)
+    assert mean_vals[0] > EPS_PD * mean_vals[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from bwfrechet.errors import IllConditionedError, InvalidInputError, UnreliableResultError
+from bwfrechet.errors import InvalidInputError, UnreliableResultError
 from bwfrechet.frechet import (
     CovariateMoments,
     Dataset,
     SolverOptions,
-    frechet_regress,
     regression_weights,
     weighted_frechet_mean,
 )
@@ -38,7 +37,7 @@ from bwfrechet.partial_test import (
     run_partial_test,
     split_dataset,
 )
-from bwfrechet.simgen import SimConfig, generate, haar_orthogonal
+from bwfrechet.simgen import SimConfig, generate
 from mixture_oracle import mixture_draws, standard_error
 
 QUIET = SolverOptions(grad_tol=1e-9)
@@ -711,28 +710,12 @@ def test_test_options_validation():
         pt.TestOptions(threads=0)
     with pytest.raises(InvalidInputError):
         pt.TestOptions(max_nonconverged=-0.1)
-
-
-def ill_conditioned_dataset():
-    # responses of condition number about 1e8 along one shared direction:
-    # valid at the default threshold, but the initial iterate fails the
-    # solver threshold of 1e-6 below
-    data = small_example(n=40, d=3)
-    rng = np.random.default_rng(83)
-    u = haar_orthogonal(3, rng)
-    scales = rng.uniform(0.5, 1.5, (data.n, 3)) * np.array([1.0, 1.0, 1e-8])
-    q = np.einsum("ab,nb,cb->nac", u, scales, u)
-    return Dataset(covariates=data.covariates, responses=q, p1=data.p1)
-
-
-def fit_at_covariate_mean(data, options):
-    return frechet_regress(data, data.covariates.mean(axis=0), options=options.solver)
-
-
-@pytest.mark.parametrize(
-    "run", [run_partial_test, fit_at_covariate_mean], ids=["split", "fit"]
-)
-def test_ill_conditioned_responses_raise_typed_error(run):
-    options = pt.TestOptions(mc_draws=2000, solver=SolverOptions(eps_pd=1e-6))
-    with pytest.raises(IllConditionedError):
-        run(ill_conditioned_dataset(), options)
+    # the field rules every options class shares: an int field takes an
+    # integer that is not a bool, a float field a finite real that is not one
+    for threads in (1.5, True):
+        with pytest.raises(InvalidInputError, match="threads"):
+            pt.TestOptions(threads=threads)
+    with pytest.raises(InvalidInputError, match="alpha"):
+        pt.TestOptions(alpha="0.05")
+    with pytest.raises(InvalidInputError, match="permute_seed"):
+        pt.TestOptions(permute_seed=1.5)

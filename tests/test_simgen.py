@@ -47,6 +47,12 @@ def test_config_validation():
         SimConfig(example=1, n=0, p_y=1, p_z=1, d=2)
     with pytest.raises(InvalidConfigError):
         SimConfig(example=1, n=10, p_y=1, p_z=1, d=2, seed=-1)
+    # integer fields take integers that are not bools, delta_z a finite real
+    base = dict(example=1, n=40, p_y=2, p_z=2, d=4)
+    for name, value in [("n", 40.7), ("d", 4.0), ("p_y", 2.0), ("seed", True),
+                        ("example", True), ("delta_z", False), ("delta_z", "0.1")]:
+        with pytest.raises(InvalidConfigError, match=name):
+            generate(SimConfig(**{**base, name: value}))
 
 
 def test_haar_orthogonal_properties():
