@@ -219,7 +219,7 @@ class SolverOptions:
 
     A fit stops when the gradient norm is at most ``grad_tol`` times the
     trace of the iterate, after ``max_iters`` iterations, or when the line
-    search finds no descent step. Every iterate is positive definite at
+    search accepts no step. Every iterate is positive definite at
     ``manifold.EPS_PD``, the one threshold of the package.
     """
 
@@ -235,7 +235,7 @@ class SolverOptions:
 
 
 # Backtracking line search: the step lengths tried in turn, 1, 1/2, ..., 2^-26;
-# when none of them lowers the objective the descent stops.
+# when none of them is accepted the descent stops.
 _STEPS = tuple(0.5**k for k in range(27))
 
 
@@ -264,57 +264,67 @@ def _eval_state(s, qs, trq):
     return batch, d2
 
 
-def _initial_iterate(qs, weights):
-    """The weighted Euclidean average of the responses, if positive definite.
+def start_state(qs):
+    """The start of every fit on response stack ``qs``, evaluated once.
 
-    Otherwise, as negative weights can make it, the square of the plain mean
-    of the responses' square roots.
+    The start is the plain Euclidean mean of the responses, whatever the
+    weights, so one evaluation serves every fit on the same responses.
+    Returns (s, trq, batch, d2): the start, the responses' traces, and
+    :func:`_eval_state` at the start.
+
+    Raises ``IllConditionedError`` when the start is not positive definite;
+    for responses that pass ``_validate_responses`` this cannot happen, as
+    the mean's ratio lambda_min / lambda_max is at least the smallest such
+    ratio among the responses, so the check is only a safeguard.
     """
-    start = sym_part(np.tensordot(weights, qs, axes=(0, 0)) / max(weights.sum(), 1.0))
-    if not_pd(np.linalg.eigvalsh(start)):
-        vals, vecs = np.linalg.eigh(qs)
-        roots = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.transpose(0, 2, 1)
-        mean_root = roots.mean(axis=0)
-        start = sym_part(mean_root @ mean_root)
-    return start
-
-
-def _fit_mean(qs, weights, options):
-    """Descent loop on pre-validated response stack ``qs``.
-
-    Each pass computes the gradient at the current iterate and stops when
-    its norm is at most ``grad_tol`` times the iterate's trace (converged) or
-    when ``max_iters`` steps have been taken; otherwise it takes the longest
-    step in ``_STEPS`` that keeps the iterate positive definite and lowers
-    the objective, and stops unconverged when none does. ``iterations``
-    reports min(steps taken + 1, ``max_iters``).
-
-    Returns the ``FitResult`` and the ``TransportBatch`` from the returned
-    mean to the responses, which the solver built at that iterate.
-
-    Raises ``IllConditionedError`` when the initial iterate is not positive
-    definite; for responses that pass ``_validate_responses`` this cannot
-    happen, as the fallback start's condition number is at most the largest
-    among the responses, so the check is only a safeguard.
-    """
-    n, d = qs.shape[0], qs.shape[-1]
     trq = np.trace(qs, axis1=1, axis2=2)
-    eye = np.eye(d)
-    s = _initial_iterate(qs, weights)
+    s = qs.mean(axis=0)
     state = _eval_state(s, qs, trq)
     if state is None:
         raise IllConditionedError("initial iterate is not positive definite")
-    batch, d2 = state
-    obj = float(np.dot(weights, d2) / n)
+    return (s, trq) + state
+
+
+def _fit_mean(qs, weights, options, start=None):
+    """Descent loop on pre-validated response stack ``qs``.
+
+    Starts from ``start``, the :func:`start_state` of ``qs``, which is built
+    here when not given. Each pass computes the gradient at the current
+    iterate and stops when its norm is at most ``grad_tol`` times the
+    iterate's trace (converged) or when ``max_iters`` steps have been taken;
+    otherwise it takes the longest step in ``_STEPS`` that keeps the iterate
+    positive definite and is accepted, and stops unconverged when none is.
+    A step is accepted when it lowers the objective by more than the
+    objective's rounding floor 16 eps sum_i |w_i| (tr S + tr Q_i +
+    2 sum sqrt(mu_i)) / n, or when its objective lies within that floor of
+    the current one and it lowers the gradient norm: there the objective
+    cannot rank the two iterates, and the gradient, which has no
+    cancellation, can. ``iterations`` reports min(steps taken + 1,
+    ``max_iters``).
+
+    Returns the ``FitResult`` and the ``TransportBatch`` from the returned
+    mean to the responses, which the solver built at that iterate.
+    """
+    s, trq, batch, d2 = start_state(qs) if start is None else start
+    n, eye = qs.shape[0], np.eye(qs.shape[-1])
     wbar = weights.mean()
+    eps = np.finfo(float).eps
+
+    def gradient(batch):
+        # average of weighted transport maps minus identity, and its norm
+        g = batch.mean_map(weights) - wbar * eye
+        return g, float(np.linalg.norm(g))
+
+    obj = float(np.dot(weights, d2) / n)
+    g, grad_norm = gradient(batch)
     steps = 0
     while True:
-        # gradient-like direction: average of weighted transport maps minus identity
-        g = batch.mean_map(weights) - wbar * eye
-        grad_norm = float(np.linalg.norm(g))
         converged = bool(grad_norm <= options.grad_tol * np.trace(s))
         if converged or steps == options.max_iters:
             break
+        floor = 16.0 * eps * float(
+            np.dot(np.abs(weights), np.trace(s) + trq + 2.0 * batch.sqrt_mu.sum(axis=1))
+        ) / n
         gvals = np.linalg.eigvalsh(g)
         for eta in _STEPS:
             if 1.0 + eta * gvals[0] <= EPS_PD:
@@ -325,10 +335,11 @@ def _fit_mean(qs, weights, options):
             if state is None:
                 continue
             cand_obj = float(np.dot(weights, state[1]) / n)
-            if cand_obj < obj:
-                s = cand
-                batch = state[0]
-                obj = cand_obj
+            if cand_obj > obj + floor:
+                continue
+            cand_g, cand_norm = gradient(state[0])
+            if cand_obj < obj - floor or cand_norm < grad_norm:
+                s, batch, obj, g, grad_norm = cand, state[0], cand_obj, cand_g, cand_norm
                 break
         else:
             break

@@ -39,6 +39,7 @@ from .frechet import (
     _fit_mean,
     check_fields,
     regression_weights,
+    start_state,
 )
 from .manifold import (
     sym_coords,
@@ -151,13 +152,15 @@ class FirstHalfFit:
     points are never stored and the memory held is O(n1^2).
     ``min_hessian_eigenvalue`` is the smallest curvature eigenvalue over
     those points. All fits use first-half responses and first-half
-    moments only; ``n_fits`` and ``nonconverged`` count the 2 n2 fits at
-    the observed and the imputed second-half rows, the only fits the
-    statistic and the kernel read.
+    moments only, and all start from ``start``, the
+    :func:`frechet.start_state` of the first-half responses; ``n_fits`` and
+    ``nonconverged`` count the 2 n2 fits at the observed and the imputed
+    second-half rows, the only fits the statistic and the kernel read.
     """
 
     split: SplitDataset
     options: SolverOptions
+    start: tuple = field(repr=False)
     means_second: np.ndarray
     means_second_imputed: np.ndarray
     discrepancy: float
@@ -177,7 +180,10 @@ class FirstHalfFit:
         s = self.split
         q1, x1, m = s.first_responses, s.first_covariates, s.moments
         with _fit_pool(1):
-            fits = [_fit_mean(q1, regression_weights(x, x1, m), self.options)[0] for x in x1]
+            fits = [
+                _fit_mean(q1, regression_weights(x, x1, m), self.options, self.start)[0]
+                for x in x1
+            ]
         return np.stack([r.mean for r in fits])
 
 
@@ -186,10 +192,14 @@ def fit_first_half(split, options=None, threads=1):
 
     These are the fits at the second-half covariate rows x_k and at their
     imputations xhat_k, all with first-half responses, covariates and
-    moments. The points are fitted in blocks of ``_BLOCK``, one task per
-    point k returning both of its fits, and each point of the block is then
-    evaluated, in index order, from the ``TransportBatch`` that the solver
-    returns with its imputed fit:
+    moments. Every fit starts from the :func:`frechet.start_state` of the
+    first-half responses, which is evaluated once here, so a fit costs only
+    the evaluations of its steps, and each equals the fit that
+    ``frechet_regress`` returns at the same row, bit for bit. The points
+    are fitted in blocks of ``_BLOCK``, one task per point k returning both
+    of its fits, and each point of the block is then evaluated, in index
+    order, from the ``TransportBatch`` that the solver returns with its
+    imputed fit:
 
     - the transports T_ki to every first-half response, whose centred
       coordinates, scaled by the regression-weight gap
@@ -215,13 +225,14 @@ def fit_first_half(split, options=None, threads=1):
     dw_map = m.require_cov_inv() @ (x1 - m.mean).T
     gap = x2 - xhat2
     eye = np.eye(d)
+    start = start_state(q1)
 
     def fit_point(k):
         # both fits of point k: at the observed row, and at the imputed row
         # with its weights and its transports to the first-half responses
         w = regression_weights(xhat2[k], x1, m)
-        observed = _fit_mean(q1, regression_weights(x2[k], x1, m), options)[0]
-        return observed, w, _fit_mean(q1, w, options)
+        observed = _fit_mean(q1, regression_weights(x2[k], x1, m), options, start)[0]
+        return observed, w, _fit_mean(q1, w, options, start)
 
     fits_observed = []
     fits_imputed = []
@@ -230,10 +241,10 @@ def fit_first_half(split, options=None, threads=1):
     min_eig = np.inf
     with _fit_pool(threads) as pool:
         fit_map = map if pool is None else pool.map
-        for start in range(0, split.n2, _BLOCK):
-            rows = range(start, min(start + _BLOCK, split.n2))
+        for first in range(0, split.n2, _BLOCK):
+            rows = range(first, min(first + _BLOCK, split.n2))
             fitted = list(fit_map(fit_point, rows))
-            dw = gap[start : rows.stop] @ dw_map
+            dw = gap[first : rows.stop] @ dw_map
             u = np.empty((n1, len(rows), sym_dim(d)))
             for j, (observed, w, (result, batch)) in enumerate(fitted):
                 cong, gamma = batch.dt_factors()
@@ -252,6 +263,7 @@ def fit_first_half(split, options=None, threads=1):
     return FirstHalfFit(
         split=split,
         options=options,
+        start=start,
         means_second=np.stack([r.mean for r in fits_observed]),
         means_second_imputed=np.stack([r.mean for r in fits_imputed]),
         discrepancy=discrepancy,

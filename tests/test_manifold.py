@@ -85,6 +85,21 @@ def test_distance_axioms():
             assert dab <= wasserstein_distance(a, c) + wasserstein_distance(c, b) + 1e-10
 
 
+@pytest.mark.parametrize("t", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_distance_keeps_relative_accuracy_near_zero(t):
+    # commuting A = U diag(a) U^T and B = U diag(a + t e) U^T are at distance
+    # ||sqrt(b) - sqrt(a)|| = ||(b - a) / (sqrt(a) + sqrt(b))||, a form with
+    # no cancellation; the trace form loses about eps / W^2 of it
+    rng = np.random.default_rng(12)
+    d = 6
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    a = rng.uniform(1.0, 3.0, d)
+    b = a + t * rng.uniform(-1.0, 1.0, d)
+    want = np.linalg.norm((b - a) / (np.sqrt(a) + np.sqrt(b)))
+    got = wasserstein_distance(sym_part(u @ np.diag(a) @ u.T), sym_part(u @ np.diag(b) @ u.T))
+    assert_allclose(got, want, rtol=1e-5)
+
+
 def test_distance_orthogonal_invariance():
     rng = np.random.default_rng(2)
     d = 5
