@@ -405,9 +405,10 @@ def regression_weights(x, covariates, moments):
         raise InvalidInputError(f"x: expected shape ({moments.p},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("x: non-finite entries")
-    inv = moments.require_cov_inv()
-    xc = np.asarray(covariates, dtype=float) - moments.mean
-    return 1.0 + xc @ (inv @ (x - moments.mean))
+    covariates = np.asarray(covariates, dtype=float)
+    if covariates.ndim != 2 or covariates.shape[1] != moments.p:
+        raise InvalidInputError(f"covariates: need {moments.p} columns, got shape {covariates.shape}")
+    return 1.0 + (covariates - moments.mean) @ (moments.require_cov_inv() @ (x - moments.mean))
 
 
 def frechet_regress(data, x, moments=None, options=None):

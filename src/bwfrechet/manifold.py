@@ -105,11 +105,28 @@ def sym_dim(d):
 
 
 @functools.lru_cache(maxsize=None)
-def _offdiag_indices(d):
+def _pair_indices(d):
+    """Index pairs s <-> (first[s] <= second[s]) in coordinate order, and their gathers.
+
+    The diagonal pairs come first, then i < j in lexicographic order. Also
+    returns the coordinate weights f (1/2 on diagonal pairs, 1/sqrt(2) off
+    them), so that coordinate s of H is f_s (H[first, second] +
+    H[second, first]), and the two flat (m, m) gathers into a pair-space
+    matrix with which :func:`weighted_dt_matrix` realigns it.
+    """
     r, c = np.triu_indices(d, k=1)
-    r.flags.writeable = False
-    c.flags.writeable = False
-    return r, c
+    first = np.concatenate([np.arange(d), r])
+    second = np.concatenate([np.arange(d), c])
+    m = sym_dim(d)
+    pair = np.empty((d, d), dtype=np.intp)
+    pair[first, second] = pair[second, first] = np.arange(m)
+    x, y = first[:, None], second[:, None]
+    f = np.where(np.arange(m) < d, 0.5, np.sqrt(0.5))
+    out = (first, second, f,
+           pair[x, first] * m + pair[y, second], pair[x, second] * m + pair[y, first])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def sym_coords(h):
@@ -121,12 +138,8 @@ def sym_coords(h):
     symmetric part.
     """
     h = np.asarray(h, dtype=float)
-    d = h.shape[-1]
-    r, c = _offdiag_indices(d)
-    idx = np.arange(d)
-    diag = h[..., idx, idx]
-    off = (h[..., r, c] + h[..., c, r]) * (0.5 * np.sqrt(2.0))
-    return np.concatenate([diag, off], axis=-1)
+    first, second, f = _pair_indices(h.shape[-1])[:3]
+    return (h[..., first, second] + h[..., second, first]) * f
 
 
 def sym_from_coords(v, d=None):
@@ -137,13 +150,9 @@ def sym_from_coords(v, d=None):
         d = int((np.sqrt(8 * m + 1) - 1) / 2 + 0.5)
     if sym_dim(d) != m:
         raise InvalidInputError(f"sym_from_coords: length {m} is not a triangular number")
+    first, second, f = _pair_indices(d)[:3]
     out = np.zeros(v.shape[:-1] + (d, d))
-    idx = np.arange(d)
-    out[..., idx, idx] = v[..., :d]
-    r, c = _offdiag_indices(d)
-    off = v[..., d:] / np.sqrt(2.0)
-    out[..., r, c] = off
-    out[..., c, r] = off
+    out[..., first, second] = out[..., second, first] = v / (2.0 * f)
     return out
 
 
@@ -184,28 +193,6 @@ class SymOperator:
 # ---------------------------------------------------------------------------
 # transport maps and base-point differentials, batched over targets
 # ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def _congruence_indices(d):
-    """Gather indices that give sym_coords(K^T B_j K) straight from the entries of K.
-
-    With basis element j on index pair (a, b) and coordinate c on (p, q),
-    the coordinate is f_j f_c (K_ap K_bq + K_aq K_bp), where f is 1/sqrt(2)
-    on diagonal pairs and 1 off the diagonal. Returns the flat indices of
-    K_ap, K_bq, K_aq, K_bp, each (m, m), and the (m, m) scale f_j f_c.
-    """
-    r, c = _offdiag_indices(d)
-    diag = np.arange(d)
-    first = np.concatenate([diag, r])
-    second = np.concatenate([diag, c])
-    f = np.where(np.arange(sym_dim(d)) < d, np.sqrt(0.5), 1.0)
-    a, b = first[:, None], second[:, None]
-    p, q = first[None, :], second[None, :]
-    out = (a * d + p, b * d + q, a * d + q, b * d + p, f[:, None] * f[None, :])
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
 
 class TransportBatch:
     """OT maps and base-point differentials from one base to many targets.
@@ -254,14 +241,14 @@ class TransportBatch:
     def mean_map(self, weights):
         """Weighted mean (1/k) sum_i weights[i] T_i of the transport maps.
 
-        T_i = W^{-1} V_i diag(sqrt_mu_i) V_i^T W^{-1}, so the mean is
-        W^{-1} (sum_i weights[i] V_i diag(sqrt_mu_i) V_i^T) W^{-1} / k, with
-        the sum one BLAS contraction over i.
+        With T_i = W^{-1} V_i diag(sqrt_mu_i) V_i^T W^{-1} and V = [V_1 ... V_k]
+        (d x kd), the mean is W^{-1} (V diag(weights o sqrt_mu) V^T) W^{-1} / k,
+        one GEMM over the kd columns.
         """
-        vecs, wi = self._vecs, self._wi
-        inner = (vecs * self.sqrt_mu[:, None, :]) @ vecs.transpose(0, 2, 1)
-        p = np.tensordot(weights, inner, axes=(0, 0)) / weights.shape[0]
-        return sym_part(wi @ p @ wi)
+        vecs = self._vecs.transpose(1, 0, 2).reshape(self.d, -1)
+        scale = (weights[:, None] * self.sqrt_mu).reshape(-1)
+        p = (vecs * scale) @ vecs.T / weights.shape[0]
+        return sym_part(self._wi @ p @ self._wi)
 
     def maps(self):
         """Transport maps T_i = K_i diag(sqrt mu_i) K_i^T, with T_i base T_i = Q_i; (k, d, d)."""
@@ -269,43 +256,46 @@ class TransportBatch:
         return sym_part((k * self.sqrt_mu[:, None, :]) @ k.transpose(0, 2, 1))
 
     def dt_factors(self):
-        """Factors (cong, gamma) of the base-point differentials.
+        """Factors (pairs, gamma) of the base-point differentials.
 
         The differential of the transport map in its base point acts as
         dT_i[H] = -K_i ((K_i^T H K_i) o Gamma_i) K_i^T with K_i = base^{-1/2} V_i
-        and Gamma_ab = sqrt(mu_a mu_b) / (sqrt(mu_a) + sqrt(mu_b)); this is the
-        unique solution of dT (S T_i) + (T_i S) dT = -T_i H T_i.
+        and Gamma_pq = sqrt(mu_p mu_q) / (sqrt(mu_p) + sqrt(mu_q)); this is the
+        unique solution of dT (S T_i) + (T_i S) dT = -T_i H T_i. On vec(H) it
+        is -(K_i (x) K_i) diag(vec Gamma_i) (K_i (x) K_i)^T, with entry
+        ((a, b), (a', b')) = -sum_pq (K_ap K_a'p) Gamma_pq (K_bq K_b'q).
 
-        Returns ``cong`` of shape (k, m, m) with cong[i, j] = sym_coords(
-        K_i^T B_j K_i) for the fixed basis elements B_j, and ``gamma`` of
-        shape (k, m), the Hadamard multipliers packed in coordinate order.
-        The operator matrix of dT_i is -cong_i diag(gamma_i) cong_i^T.
+        Returns ``pairs`` (k, d, m), pairs[i, p, s] = K_ap K_a'p over the m
+        index pairs s <-> (a <= a') in coordinate order, and ``gamma``
+        (k, d, d), the full Gamma_i.
         """
-        d, s = self.d, self.sqrt_mu
-        denom = s[:, :, None] + s[:, None, :]
-        num = s[:, :, None] * s[:, None, :]
-        gam = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
-        idx_d = np.arange(d)
-        r, c = _offdiag_indices(d)
-        gamma = np.concatenate([gam[:, idx_d, idx_d], gam[:, r, c]], axis=-1)
-        ap, bq, aq, bp, scale = _congruence_indices(d)
-        # rows of the (d*d, k) transpose are contiguous, so the gathers are cheap;
-        # cong is returned as a (k, m, m) view of the (m, m, k) result
-        kt = self.k.reshape(self.k.shape[0], d * d).T.copy()
-        prods = kt[ap] * kt[bq]
-        prods += kt[aq] * kt[bp]
-        prods *= scale[:, :, None]
-        return prods.transpose(2, 0, 1), gamma
+        s = self.sqrt_mu
+        num, denom = s[:, :, None] * s[:, None, :], s[:, :, None] + s[:, None, :]
+        gamma = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
+        first, second = _pair_indices(self.d)[:2]
+        kt = self._vecs.transpose(0, 2, 1) @ self._wi   # K_i^T, contiguous
+        pairs = np.take(kt, first, axis=2)
+        pairs *= np.take(kt, second, axis=2)
+        return pairs, gamma
 
 
-def weighted_dt_matrix(cong, gamma, coeffs):
-    """Matrix of sum_i coeffs[i] * dT_i from :meth:`TransportBatch.dt_factors`."""
+def weighted_dt_matrix(pairs, gamma, coeffs):
+    """Matrix of sum_i coeffs[i] * dT_i from :meth:`TransportBatch.dt_factors`.
+
+    In pair space, M = sum_i pairs_i^T (coeffs[i] Gamma_i) pairs_i (one
+    batched product and one m x kd x m GEMM) holds entry ((a, b), (a', b'))
+    of -sum_i coeffs[i] dT_i on vec(H) at M[(a, a'), (b, b')]. The operator
+    in :func:`sym_coords` realigns M + M^T: entry (c, j), c on index pair
+    (x, y) and j on (a, b), is -f_c f_j ((M + M^T)[(x, a), (y, b)] +
+    (M + M^T)[(x, b), (y, a)]), and comes out exactly symmetric.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
-    m = cong.shape[-1]
-    by_basis = cong.transpose(1, 2, 0)  # (m, m, k); contiguous for dt_factors output
-    scaled = by_basis * (gamma * coeffs[:, None]).T
-    mat = -(scaled.reshape(m, -1) @ by_basis.reshape(m, -1).T)
-    return sym_part(mat)
+    m = pairs.shape[-1]
+    right = (gamma * coeffs[:, None, None]) @ pairs
+    mat = right.reshape(-1, m).T @ pairs.reshape(-1, m)
+    mat = (mat + mat.T).reshape(-1)
+    f, xa_yb, xb_ya = _pair_indices(gamma.shape[-1])[2:]
+    return -np.outer(f, f) * (mat[xa_yb] + mat[xb_ya])
 
 
 def ot_map_differential(base, target):
@@ -317,5 +307,4 @@ def ot_map_differential(base, target):
     spectrum when target is positive definite.
     """
     batch = _pair_batch(base, target, "ot_map_differential")[2]
-    cong, gamma = batch.dt_factors()
-    return SymOperator(batch.d, weighted_dt_matrix(cong, gamma, np.ones(1)))
+    return SymOperator(batch.d, weighted_dt_matrix(*batch.dt_factors(), np.ones(1)))

@@ -38,6 +38,7 @@ from .frechet import (
     SolverOptions,
     _fit_mean,
     check_fields,
+    is_integer,
     regression_weights,
     start_state,
 )
@@ -93,8 +94,8 @@ def split_dataset(data, permute_seed=None):
             "the tested trailing block must contain at least one covariate (p1 < p)"
         )
     if permute_seed is not None:
-        if permute_seed < 0:
-            raise InvalidInputError(f"permute_seed must be nonnegative, got {permute_seed}")
+        if not is_integer(permute_seed) or permute_seed < 0:
+            raise InvalidInputError(f"permute_seed must be an integer >= 0, got {permute_seed!r}")
         perm = np.random.default_rng(np.random.SeedSequence(permute_seed)).permutation(data.n)
         data = data.subset(perm)
     n1 = (data.n + 1) // 2
@@ -247,8 +248,7 @@ def fit_first_half(split, options=None, threads=1):
             dw = gap[first : rows.stop] @ dw_map
             u = np.empty((n1, len(rows), sym_dim(d)))
             for j, (observed, w, (result, batch)) in enumerate(fitted):
-                cong, gamma = batch.dt_factors()
-                hessian = -weighted_dt_matrix(cong, gamma, w / n1)
+                hessian = -weighted_dt_matrix(*batch.dt_factors(), w / n1)
                 image = hessian @ sym_coords(observed.mean - result.mean)
                 discrepancy += float(image @ image)
                 min_eig = min(min_eig, float(np.linalg.eigvalsh(hessian)[0]))
@@ -310,8 +310,8 @@ def kernel_matrix(fit):
 def null_eigenvalues(kernel):
     """Eigenvalues of the kernel, clipped at zero, descending."""
     kernel = np.asarray(kernel, dtype=float)
-    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
-        raise InvalidInputError(f"kernel: expected a square matrix, got {kernel.shape}")
+    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1] or kernel.size == 0:
+        raise InvalidInputError(f"kernel: expected a non-empty square matrix, got {kernel.shape}")
     if not np.all(np.isfinite(kernel)):
         raise InvalidInputError("kernel: non-finite entries")
     scale = max(np.abs(kernel).max(), 1e-300)

@@ -259,6 +259,11 @@ def test_regression_weights_average_to_one():
     m = CovariateMoments.from_covariates(x, p1=1)
     w = regression_weights(rng.standard_normal(3), x, m)
     assert_allclose(w.mean(), 1.0, rtol=1e-10)
+    # covariates of the wrong width or rank, including a width-1 stack that
+    # would broadcast against the three-column mean without an error
+    for bad in (x[:, :2], x[:, :1], x[0]):
+        with pytest.raises(InvalidInputError, match="covariates"):
+            regression_weights(rng.standard_normal(3), bad, m)
 
 
 def test_regress_at_mean_is_unweighted_mean():

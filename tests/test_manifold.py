@@ -16,6 +16,7 @@ from bwfrechet.manifold import (
     wasserstein_distance,
     weighted_dt_matrix,
 )
+from sylvester_oracle import transport_map, weighted_dt_reference
 
 
 def random_spd(rng, d, spread=1.0):
@@ -276,19 +277,27 @@ def test_batch_maps_match_single_calls():
 
 
 def test_batch_weighted_matrix_is_weighted_sum():
+    # against sum_i c_i dT_i with every map from sqrtm and every column from
+    # the Sylvester equation; coefficients of both signs
     rng = np.random.default_rng(18)
-    d = 3
+    for d in (1, 2, 3, 6):
+        base = random_spd(rng, d)
+        targets = np.stack([random_spd(rng, d) for _ in range(5)])
+        coeffs = rng.uniform(0.2, 2.0, 5) * np.array([1.0, -1.0, 1.0, -1.0, -1.0])
+        got = weighted_dt_matrix(*TransportBatch(base, targets).dt_factors(), coeffs)
+        expected = weighted_dt_reference(base, targets, coeffs)
+        assert_allclose(got, expected, rtol=1e-9, atol=1e-10)
+
+
+def test_mean_map_matches_weighted_sum_of_maps():
+    rng = np.random.default_rng(19)
+    d, k = 6, 50
     base = random_spd(rng, d)
-    targets = np.stack([random_spd(rng, d) for _ in range(4)])
-    coeffs = rng.standard_normal(4)
-    batch = TransportBatch(base, targets)
-    cong, gamma = batch.dt_factors()
-    combined = SymOperator(d, weighted_dt_matrix(cong, gamma, coeffs))
-    h = random_sym(rng, d)
-    expected = np.zeros((d, d))
-    for i in range(4):
-        expected += coeffs[i] * ot_map_differential(base, targets[i]).apply(h)
-    assert_allclose(combined.apply(h), expected, rtol=1e-9, atol=1e-10)
+    targets = np.stack([random_spd(rng, d) for _ in range(k)])
+    weights = rng.uniform(-1.0, 2.0, k)
+    expected = sum(w * transport_map(base, q) for w, q in zip(weights, targets)) / k
+    got = TransportBatch(base, targets).mean_map(weights)
+    assert_allclose(got, expected, rtol=1e-10, atol=1e-12 * np.abs(expected).max())
 
 
 def test_batch_rejects_bad_shapes():

@@ -22,7 +22,6 @@ from bwfrechet.manifold import (
     ot_map_differential,
     sym_coords,
     sym_dim,
-    weighted_dt_matrix,
 )
 from bwfrechet import frechet
 # the module is imported as a whole because two of its public names start
@@ -41,6 +40,7 @@ from bwfrechet.partial_test import (
 )
 from bwfrechet.simgen import SimConfig, generate
 from mixture_oracle import mixture_draws, standard_error
+from sylvester_oracle import weighted_dt_reference
 
 QUIET = SolverOptions(grad_tol=1e-9)
 
@@ -97,8 +97,9 @@ def test_split_validation():
         split_dataset(Dataset(covariates=x, responses=q, p1=0))
     with pytest.raises(InvalidInputError):
         split_dataset(Dataset(covariates=x, responses=q, p1=2))
-    with pytest.raises(InvalidInputError, match="permute_seed"):
-        split_dataset(Dataset(covariates=x, responses=q, p1=1), permute_seed=-1)
+    for seed in (-1, True, 1.5):
+        with pytest.raises(InvalidInputError, match="permute_seed"):
+            split_dataset(Dataset(covariates=x, responses=q, p1=1), permute_seed=seed)
 
 
 def test_split_permute_seed_reproducible():
@@ -300,10 +301,11 @@ def stored_transport_reference(fit):
     """Statistic, kernel and smallest curvature eigenvalue from stored transports.
 
     The formulas the evaluation stage streams, written out with every
-    n2 x n1 transport and every m x m curvature operator held at once: the
-    kernel from ``TransportBatch.maps()`` and the statistic through
-    ``SymOperator``, at the program's own fits, with each transport batch
-    built by a fresh eigendecomposition of its base.
+    n2 x n1 transport and every m x m curvature operator held at once, at
+    the program's own fits: the kernel from ``TransportBatch.maps()``, each
+    batch built by a fresh eigendecomposition of its base, and the statistic
+    through ``SymOperator`` with each curvature from the Sylvester oracle,
+    which shares no code with the program's pair-space build.
     """
     split = fit.split
     m = split.moments
@@ -322,8 +324,7 @@ def stored_transport_reference(fit):
     min_eig = np.inf
     for k, base in enumerate(fit.means_second_imputed):
         w = 1.0 + x1c @ inv @ (xhat2[k] - m.mean)
-        cong, gamma = TransportBatch(base, q1).dt_factors()
-        hessian = SymOperator(d, -weighted_dt_matrix(cong, gamma, w / n1))
+        hessian = SymOperator(d, -weighted_dt_reference(base, q1, w / n1))
         image = hessian.apply(fit.means_second[k] - base)
         statistic += float(np.sum(image * image))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(hessian.matrix)[0]))
@@ -396,6 +397,8 @@ def test_null_eigenvalues_identities():
     assert_allclose(raw.sum(), np.trace(kern), rtol=1e-10)
     with pytest.raises(InvalidInputError):
         null_eigenvalues(np.ones((2, 3)))
+    with pytest.raises(InvalidInputError, match="non-empty"):
+        null_eigenvalues(np.zeros((0, 0)))
     with pytest.raises(InvalidInputError):
         null_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     bad = np.eye(2)
