@@ -217,10 +217,10 @@ class Dataset:
 class SolverOptions:
     """Stopping rule of the weighted Frechet mean descent.
 
-    A fit stops when the gradient norm is at most ``grad_tol`` times the
-    trace of the iterate, after ``max_iters`` iterations, or when the line
-    search accepts no step. Every iterate is positive definite at
-    ``manifold.EPS_PD``, the one threshold of the package.
+    A fit stops when the gradient norm is at most ``grad_tol`` sqrt(d), a
+    verdict free of the responses' units, after ``max_iters`` iterations, or
+    when the line search accepts no step. Every iterate is positive definite
+    at ``manifold.EPS_PD``, the one threshold of the package.
     """
 
     max_iters: int = 500
@@ -290,10 +290,12 @@ def _fit_mean(qs, weights, options, start=None):
 
     Starts from ``start``, the :func:`start_state` of ``qs``, which is built
     here when not given. Each pass computes the gradient at the current
-    iterate and stops when its norm is at most ``grad_tol`` times the
-    iterate's trace (converged) or when ``max_iters`` steps have been taken;
-    otherwise it takes the longest step in ``_STEPS`` that keeps the iterate
-    positive definite and is accepted, and stops unconverged when none is.
+    iterate and stops when its norm is at most ``grad_tol`` sqrt(d), with
+    sqrt(d) the norm of I (converged), or when ``max_iters`` steps have been
+    taken; otherwise it takes the longest step in ``_STEPS`` that keeps the
+    iterate positive definite and is accepted, and stops unconverged when
+    none is. The gradient is a combination of transport maps, which Q -> cQ
+    leaves unchanged, so the verdict does not depend on the units of Q.
     A step is accepted when it lowers the objective by more than the
     objective's rounding floor 16 eps sum_i |w_i| (tr S + tr Q_i +
     2 sum sqrt(mu_i)) / n, or when its objective lies within that floor of
@@ -319,7 +321,7 @@ def _fit_mean(qs, weights, options, start=None):
     g, grad_norm = gradient(batch)
     steps = 0
     while True:
-        converged = bool(grad_norm <= options.grad_tol * np.trace(s))
+        converged = bool(grad_norm <= options.grad_tol * math.sqrt(qs.shape[-1]))
         if converged or steps == options.max_iters:
             break
         floor = 16.0 * eps * float(

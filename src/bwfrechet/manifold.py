@@ -233,11 +233,6 @@ class TransportBatch:
         self.sqrt_mu = np.sqrt(np.clip(mu, 0.0, None))   # (k, d)
         self.d = vals.shape[0]
 
-    @functools.cached_property
-    def k(self):
-        """K_i = base^{-1/2} V_i; (k, d, d)."""
-        return self._wi @ self._vecs
-
     def mean_map(self, weights):
         """Weighted mean (1/k) sum_i weights[i] T_i of the transport maps.
 
@@ -251,9 +246,18 @@ class TransportBatch:
         return sym_part(self._wi @ p @ self._wi)
 
     def maps(self):
-        """Transport maps T_i = K_i diag(sqrt mu_i) K_i^T, with T_i base T_i = Q_i; (k, d, d)."""
-        k = self.k
+        """Maps T_i = K_i diag(sqrt mu_i) K_i^T, K_i = base^{-1/2} V_i; T_i base T_i = Q_i."""
+        k = self._wi @ self._vecs
         return sym_part((k * self.sqrt_mu[:, None, :]) @ k.transpose(0, 2, 1))
+
+    def centred_coords(self, pairs):
+        """sym_coords(T_i - I) from the ``pairs`` of :meth:`dt_factors`; (k, m).
+
+        Coordinate s <-> (a <= a') is 2 f_s T_i[a, a'] = 2 f_s sum_p sqrt_mu[i, p]
+        pairs[i, p, s], less 1 on the d diagonal coordinates."""
+        out = (self.sqrt_mu[:, None, :] @ pairs)[:, 0] * (2.0 * _pair_indices(self.d)[2])
+        out[:, : self.d] -= 1.0
+        return out
 
     def dt_factors(self):
         """Factors (pairs, gamma) of the base-point differentials.
@@ -274,8 +278,8 @@ class TransportBatch:
         gamma = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
         first, second = _pair_indices(self.d)[:2]
         kt = self._vecs.transpose(0, 2, 1) @ self._wi   # K_i^T, contiguous
-        pairs = np.take(kt, first, axis=2)
-        pairs *= np.take(kt, second, axis=2)
+        pairs = kt[..., first]
+        pairs *= kt[..., second]
         return pairs, gamma
 
 

@@ -15,11 +15,10 @@ random draws: the error is about 1e-14 absolute, and about 1e-13 relative in
 the upper tail.
 
 Both the statistic and the kernel come from the transport maps at the
-imputed evaluation points. They are accumulated point by point from the
-``TransportBatch`` each fit's solver holds at its mean, in fixed-size blocks
-and in index order, so the transports are never stored: memory is O(n1^2)
-for the kernel plus one block of batches, and results are bit-identical for
-any thread count.
+imputed evaluation points. Each point is evaluated straight off its fit, in
+index order, from the ``TransportBatch`` the solver holds at the mean, so no
+transport is stored: with one thread the memory is O(n1^2) for the kernel
+plus one batch, and results are bit-identical for any thread count.
 """
 
 import contextlib
@@ -122,9 +121,8 @@ def imputed_covariates(x, moments):
     return np.concatenate([y, zhat], axis=-1)
 
 
-# Evaluation points fitted and evaluated together: the transport batches of
-# one block, O(_BLOCK n1 d^2) doubles, are all the evaluation holds besides the
-# n1 x n1 kernel.
+# Evaluation points whose kernel rows are added in one GEMM, and which a
+# thread pool fits at a time.
 _BLOCK = 32
 
 
@@ -148,9 +146,7 @@ class FirstHalfFit:
     ``means_second_imputed[k]`` the fit at that row with the trailing block
     imputed from the retained block. ``discrepancy`` is the statistic
     before its reliability gate and ``kernel`` the n1 x n1 calibration
-    kernel; both are accumulated point by point as each block of points is
-    fitted, so the transport maps and curvature operators at the imputed
-    points are never stored and the memory held is O(n1^2).
+    kernel, both accumulated point by point, with no transport stored.
     ``min_hessian_eigenvalue`` is the smallest curvature eigenvalue over
     those points. All fits use first-half responses and first-half
     moments only, and all start from ``start``, the
@@ -196,25 +192,23 @@ def fit_first_half(split, options=None, threads=1):
     moments. Every fit starts from the :func:`frechet.start_state` of the
     first-half responses, which is evaluated once here, so a fit costs only
     the evaluations of its steps, and each equals the fit that
-    ``frechet_regress`` returns at the same row, bit for bit. The points
-    are fitted in blocks of ``_BLOCK``, one task per point k returning both
-    of its fits, and each point of the block is then evaluated, in index
-    order, from the ``TransportBatch`` that the solver returns with its
-    imputed fit:
+    ``frechet_regress`` returns at the same row, bit for bit. One task per
+    point k returns both of its fits, and the point is evaluated as soon as
+    its task returns, in index order, from the pair factor of the
+    ``TransportBatch`` that the solver returns with its imputed fit:
 
-    - the transports T_ki to every first-half response, whose centred
-      coordinates, scaled by the regression-weight gap
-      dw_k = w(x_k) - w(xhat_k), form the rows U_k that the kernel
-      sum_k U_k U_k^T / n1^2 adds up;
     - the m x m matrix of the curvature H_k = -(1/n1) sum_i w_i dT_i, which
       gives the statistic term ||H_k (observed fit - imputed fit)||_F^2
-      and the smallest curvature eigenvalue, and is then dropped.
+      and the smallest curvature eigenvalue;
+    - the centred coordinates of the transports T_ki to every first-half
+      response, scaled by the regression-weight gap dw_k = w(x_k) -
+      w(xhat_k): the rows U_k of the kernel sum_k U_k U_k^T / n1^2, added
+      ``_BLOCK`` points at a time.
 
-    Fits are mutually independent, so ``threads`` > 1 distributes the tasks
-    of a block over a thread pool; the evaluation stays in the calling
-    thread. Reductions run in the fixed order above, so results are
-    bit-identical for any thread count, and no n2 x n1 x d x d transport
-    stack exists.
+    With one thread, one point's fits and batch are all that is live; with
+    ``threads`` > 1 a thread pool runs the tasks of ``_BLOCK`` points at a
+    time and holds that block. Reductions run in index order in the calling
+    thread, so results are bit-identical for any thread count.
     """
     options = options or SolverOptions()
     m = split.moments
@@ -225,7 +219,6 @@ def fit_first_half(split, options=None, threads=1):
     n1, d = q1.shape[0], q1.shape[-1]
     dw_map = m.require_cov_inv() @ (x1 - m.mean).T
     gap = x2 - xhat2
-    eye = np.eye(d)
     start = start_state(q1)
 
     def fit_point(k):
@@ -244,15 +237,15 @@ def fit_first_half(split, options=None, threads=1):
         fit_map = map if pool is None else pool.map
         for first in range(0, split.n2, _BLOCK):
             rows = range(first, min(first + _BLOCK, split.n2))
-            fitted = list(fit_map(fit_point, rows))
             dw = gap[first : rows.stop] @ dw_map
             u = np.empty((n1, len(rows), sym_dim(d)))
-            for j, (observed, w, (result, batch)) in enumerate(fitted):
-                hessian = -weighted_dt_matrix(*batch.dt_factors(), w / n1)
+            for j, (observed, w, (result, batch)) in enumerate(fit_map(fit_point, rows)):
+                pairs, gamma = batch.dt_factors()
+                hessian = -weighted_dt_matrix(pairs, gamma, w / n1)
                 image = hessian @ sym_coords(observed.mean - result.mean)
                 discrepancy += float(image @ image)
                 min_eig = min(min_eig, float(np.linalg.eigvalsh(hessian)[0]))
-                u[:, j] = dw[j][:, None] * sym_coords(batch.maps() - eye)
+                u[:, j] = dw[j][:, None] * batch.centred_coords(pairs)
                 fits_observed.append(observed)
                 fits_imputed.append(result)
             flat = u.reshape(n1, -1)

@@ -300,6 +300,23 @@ def test_mean_map_matches_weighted_sum_of_maps():
     assert_allclose(got, expected, rtol=1e-10, atol=1e-12 * np.abs(expected).max())
 
 
+def test_centred_coords_match_coordinates_of_the_maps():
+    # generic targets, none sharing the base's eigenbasis, and one target with
+    # condition number 1e8
+    rng = np.random.default_rng(20)
+    d, k = 6, 40
+    base = random_spd(rng, d)
+    targets = np.stack([random_spd(rng, d) for _ in range(k)])
+    o, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    targets[7] = (o * np.geomspace(1e-8, 1.0, d)) @ o.T
+    batch = TransportBatch(base, targets)
+    maps = batch.maps()
+    pairs, _ = batch.dt_factors()
+    got = batch.centred_coords(pairs)
+    assert got.shape == (k, sym_dim(d))
+    assert_allclose(got, sym_coords(maps - np.eye(d)), rtol=0, atol=1e-13 * np.abs(maps).max())
+
+
 def test_batch_rejects_bad_shapes():
     with pytest.raises(InvalidInputError):
         TransportBatch(np.eye(2), np.ones((3, 3, 3)))
