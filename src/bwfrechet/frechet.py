@@ -298,11 +298,12 @@ def _fit_mean(qs, weights, options, start=None):
     leaves unchanged, so the verdict does not depend on the units of Q.
     A step is accepted when it lowers the objective by more than the
     objective's rounding floor 16 eps sum_i |w_i| (tr S + tr Q_i +
-    2 sum sqrt(mu_i)) / n, or when its objective lies within that floor of
-    the current one and it lowers the gradient norm: there the objective
-    cannot rank the two iterates, and the gradient, which has no
-    cancellation, can. ``iterations`` reports min(steps taken + 1,
-    ``max_iters``).
+    2 sum_p sqrt(mu_ip) + max_p mu_ip sum_p mu_ip^(-1/2)) / n, the last term
+    the roots' error from eigenvalues off by eps max_p mu_ip (zero roots add
+    nothing), or when its objective lies within that floor of the current
+    one and it lowers the gradient norm: there the objective cannot rank the
+    two iterates, and the gradient, which has no cancellation, can.
+    ``iterations`` reports min(steps taken + 1, ``max_iters``).
 
     Returns the ``FitResult`` and the ``TransportBatch`` from the returned
     mean to the responses, which the solver built at that iterate.
@@ -324,9 +325,10 @@ def _fit_mean(qs, weights, options, start=None):
         converged = bool(grad_norm <= options.grad_tol * math.sqrt(qs.shape[-1]))
         if converged or steps == options.max_iters:
             break
-        floor = 16.0 * eps * float(
-            np.dot(np.abs(weights), np.trace(s) + trq + 2.0 * batch.sqrt_mu.sum(axis=1))
-        ) / n
+        root = batch.sqrt_mu
+        inv = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
+        noise = np.trace(s) + trq + 2.0 * root.sum(axis=1) + root[:, -1] ** 2 * inv.sum(axis=1)
+        floor = 16.0 * eps * float(np.dot(np.abs(weights), noise)) / n
         gvals = np.linalg.eigvalsh(g)
         for eta in _STEPS:
             if 1.0 + eta * gvals[0] <= EPS_PD:

@@ -17,8 +17,8 @@ the upper tail.
 Both the statistic and the kernel come from the transport maps at the
 imputed evaluation points. Each point is evaluated straight off its fit, in
 index order, from the ``TransportBatch`` the solver holds at the mean, so no
-transport is stored: with one thread the memory is O(n1^2) for the kernel
-plus one batch, and results are bit-identical for any thread count.
+transport is stored: with one thread the memory is the n1 x n1 kernel plus
+one batch, and results are bit-identical for any thread count.
 """
 
 import contextlib
@@ -121,9 +121,22 @@ def imputed_covariates(x, moments):
     return np.concatenate([y, zhat], axis=-1)
 
 
-# Evaluation points whose kernel rows are added in one GEMM, and which a
-# thread pool fits at a time.
-_BLOCK = 32
+# Evaluation points whose kernel rows are added together, and which a thread
+# pool fits at a time; the rows are added in square tiles of side _TILE.
+_BLOCK = 8
+_TILE = 128
+
+
+def _add_gram(kernel, rows):
+    """kernel += rows @ rows.T in place: each diagonal tile is a symmetric rank-k
+    update, each off-diagonal one is added at both places, so symmetry is exact."""
+    for i in range(0, rows.shape[0], _TILE):
+        a = rows[i : i + _TILE]
+        kernel[i : i + _TILE, i : i + _TILE] += a @ a.T
+        for j in range(i + _TILE, rows.shape[0], _TILE):
+            tile = a @ rows[j : j + _TILE].T
+            kernel[i : i + _TILE, j : j + _TILE] += tile
+            kernel[j : j + _TILE, i : i + _TILE] += tile.T
 
 
 @contextlib.contextmanager
@@ -145,8 +158,8 @@ class FirstHalfFit:
     ``means_second[k]`` is the fit at the k-th second-half covariate row and
     ``means_second_imputed[k]`` the fit at that row with the trailing block
     imputed from the retained block. ``discrepancy`` is the statistic
-    before its reliability gate and ``kernel`` the n1 x n1 calibration
-    kernel, both accumulated point by point, with no transport stored.
+    before its reliability gate and ``kernel`` the exactly symmetric n1 x n1
+    calibration kernel, both accumulated point by point, with no transport stored.
     ``min_hessian_eigenvalue`` is the smallest curvature eigenvalue over
     those points. All fits use first-half responses and first-half
     moments only, and all start from ``start``, the
@@ -202,8 +215,8 @@ def fit_first_half(split, options=None, threads=1):
       and the smallest curvature eigenvalue;
     - the centred coordinates of the transports T_ki to every first-half
       response, scaled by the regression-weight gap dw_k = w(x_k) -
-      w(xhat_k): the rows U_k of the kernel sum_k U_k U_k^T / n1^2, added
-      ``_BLOCK`` points at a time.
+      w(xhat_k) of its two fits: the rows U_k of the exactly symmetric kernel
+      sum_k U_k U_k^T / n1^2, added in place ``_BLOCK`` points at a time.
 
     With one thread, one point's fits and batch are all that is live; with
     ``threads`` > 1 a thread pool runs the tasks of ``_BLOCK`` points at a
@@ -217,16 +230,15 @@ def fit_first_half(split, options=None, threads=1):
     x2 = split.second_covariates
     xhat2 = imputed_covariates(x2, m)
     n1, d = q1.shape[0], q1.shape[-1]
-    dw_map = m.require_cov_inv() @ (x1 - m.mean).T
-    gap = x2 - xhat2
     start = start_state(q1)
 
     def fit_point(k):
-        # both fits of point k: at the observed row, and at the imputed row
-        # with its weights and its transports to the first-half responses
+        # both fits of point k, at the observed and the imputed row, their
+        # weight gap, and the imputed row's weights and transports
+        w_observed = regression_weights(x2[k], x1, m)
         w = regression_weights(xhat2[k], x1, m)
-        observed = _fit_mean(q1, regression_weights(x2[k], x1, m), options, start)[0]
-        return observed, w, _fit_mean(q1, w, options, start)
+        observed = _fit_mean(q1, w_observed, options, start)[0]
+        return observed, w_observed - w, w, _fit_mean(q1, w, options, start)
 
     fits_observed = []
     fits_imputed = []
@@ -237,20 +249,18 @@ def fit_first_half(split, options=None, threads=1):
         fit_map = map if pool is None else pool.map
         for first in range(0, split.n2, _BLOCK):
             rows = range(first, min(first + _BLOCK, split.n2))
-            dw = gap[first : rows.stop] @ dw_map
             u = np.empty((n1, len(rows), sym_dim(d)))
-            for j, (observed, w, (result, batch)) in enumerate(fit_map(fit_point, rows)):
+            for j, (observed, dw, w, (result, batch)) in enumerate(fit_map(fit_point, rows)):
                 pairs, gamma = batch.dt_factors()
                 hessian = -weighted_dt_matrix(pairs, gamma, w / n1)
                 image = hessian @ sym_coords(observed.mean - result.mean)
                 discrepancy += float(image @ image)
                 min_eig = min(min_eig, float(np.linalg.eigvalsh(hessian)[0]))
-                u[:, j] = dw[j][:, None] * batch.centred_coords(pairs)
+                u[:, j] = dw[:, None] * batch.centred_coords(pairs)
                 fits_observed.append(observed)
                 fits_imputed.append(result)
-            flat = u.reshape(n1, -1)
-            kernel += flat @ flat.T
-    kernel = sym_part(kernel / (n1 * n1))
+            _add_gram(kernel, u.reshape(n1, -1))
+    kernel /= n1 * n1
     kernel.flags.writeable = False
     results = fits_observed + fits_imputed
     return FirstHalfFit(
@@ -294,23 +304,26 @@ def kernel_matrix(fit):
     the imputed-point base toward response i. Entry (i, j) sums the
     Frobenius inner products of these influences over evaluation points, so
     the total of the clipped eigenvalues tracks the sampling expectation of
-    the statistic. Symmetric PSD by construction; :func:`fit_first_half`
-    accumulates it.
+    the statistic. PSD by construction and exactly symmetric;
+    :func:`fit_first_half` accumulates it.
     """
     return fit.kernel
 
 
 def null_eigenvalues(kernel):
-    """Eigenvalues of the kernel, clipped at zero, descending."""
+    """Eigenvalues of the kernel, clipped at zero, descending; a kernel that is
+    not exactly symmetric must be so to 1e-10 and is symmetrized first."""
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1] or kernel.size == 0:
         raise InvalidInputError(f"kernel: expected a non-empty square matrix, got {kernel.shape}")
     if not np.all(np.isfinite(kernel)):
         raise InvalidInputError("kernel: non-finite entries")
-    scale = max(np.abs(kernel).max(), 1e-300)
-    if np.abs(kernel - kernel.T).max() > 1e-10 * scale:
-        raise InvalidInputError("kernel: not symmetric")
-    vals = np.linalg.eigvalsh(sym_part(kernel))
+    if not np.array_equal(kernel, kernel.T):
+        scale = max(np.abs(kernel).max(), 1e-300)
+        if np.abs(kernel - kernel.T).max() > 1e-10 * scale:
+            raise InvalidInputError("kernel: not symmetric")
+        kernel = sym_part(kernel)
+    vals = np.linalg.eigvalsh(kernel)
     return np.clip(vals, 0.0, None)[::-1].copy()
 
 

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 
@@ -38,7 +39,7 @@ from bwfrechet.partial_test import (
     run_partial_test,
     split_dataset,
 )
-from bwfrechet.simgen import SimConfig, generate
+from bwfrechet.simgen import SimConfig, generate, haar_orthogonal
 from closed_form_oracle import closed_form_test, mixture_sf
 from mixture_oracle import mixture_draws, standard_error
 from sylvester_oracle import weighted_dt_reference
@@ -368,8 +369,10 @@ def test_evaluation_bit_identical_across_threads():
     assert np.array_equal(three.means_second_imputed, one.means_second_imputed)
 
 
+@functools.cache
 def evaluation_peak_bytes():
-    """tracemalloc peak of the serial evaluation stage, example 1 at n = 400."""
+    """tracemalloc peak of the serial evaluation stage, example 1 at n = 400,
+    and the kernel it returns; the three tests below share one run."""
     data = small_example(n=400, p_y=3, p_z=3, d=6, delta=0.0, seed=95)
     split = split_dataset(data)
     tracemalloc.start()
@@ -378,8 +381,8 @@ def evaluation_peak_bytes():
             warnings.simplefilter("ignore", RuntimeWarning)
             fit = fit_first_half(split)
         pt.test_statistic(fit, max_nonconverged=1.0)
-        kernel_matrix(fit)
-        return tracemalloc.get_traced_memory()[1]
+        kernel = kernel_matrix(fit)
+        return tracemalloc.get_traced_memory()[1], kernel
     finally:
         tracemalloc.stop()
 
@@ -388,7 +391,7 @@ def test_evaluation_memory_is_bounded():
     # storing the n2 x n1 transports peaked at 40.7 MB here, and holding one
     # block of 32 solver states at a time 8.4 MB; this bound catches a return
     # to stored transports, and the test below a return to held blocks
-    peak = evaluation_peak_bytes()
+    peak = evaluation_peak_bytes()[0]
     assert peak < 15e6, f"evaluation stage peaked at {peak / 1e6:.1f} MB"
 
 
@@ -396,8 +399,55 @@ def test_serial_evaluation_holds_one_batch():
     # with one thread each point is evaluated straight off its fit, so one
     # point's solver state is live next to the n1 x n1 kernel and one block of
     # kernel rows: 3.9 MB here, against 8.4 MB for a held block of 32 states
-    peak = evaluation_peak_bytes()
+    peak = evaluation_peak_bytes()[0]
     assert peak < 5e6, f"serial evaluation stage peaked at {peak / 1e6:.1f} MB"
+
+
+def test_evaluation_holds_one_n1_array():
+    # kernel rows are added to the kernel in place, by tiles, and the kernel
+    # is finished in place: 1.9 MB here, against 3.9 MB when a block's rows
+    # were added through an n1 x n1 product and the kernel symmetrized by copy
+    peak, kernel = evaluation_peak_bytes()
+    assert peak < 2.8e6, f"serial evaluation stage peaked at {peak / 1e6:.2f} MB"
+    assert np.array_equal(kernel, kernel.T)
+
+
+def test_tiled_gram_update():
+    # 300 rows span three tiles, the last one short
+    assert 300 > pt._TILE and 300 % pt._TILE != 0
+    rng = np.random.default_rng(96)
+    rows = rng.standard_normal((300, 40))
+    start = rng.standard_normal((300, 12))
+    want = start @ start.T + rows @ rows.T
+    kernel = start @ start.T
+    pt._add_gram(kernel, rows)
+    assert np.array_equal(kernel, kernel.T)
+    assert_allclose(kernel, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def test_null_eigenvalues_memory():
+    # an exactly symmetric kernel goes to eigvalsh with no n1 x n1 copy: 1.5
+    # MB here with the 1.28 MB kernel, against 3.8 MB when it was symmetrized
+    a = np.random.default_rng(97).standard_normal((400, 60))
+    tracemalloc.start()
+    try:
+        kernel = a @ a.T
+        lam = null_eigenvalues(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6e6, f"eigen step peaked at {peak / 1e6:.2f} MB"
+    assert_allclose(lam, np.linalg.eigvalsh(kernel)[::-1].clip(0.0), rtol=0, atol=1e-13 * lam[0])
+
+
+def test_null_eigenvalues_of_nearly_symmetric_kernel():
+    rng = np.random.default_rng(98)
+    a = rng.standard_normal((50, 50))
+    sym = a @ a.T
+    kernel = sym + 1e-12 * np.abs(sym).max() * rng.standard_normal((50, 50))
+    assert not np.array_equal(kernel, kernel.T)
+    want = np.linalg.eigvalsh(0.5 * (kernel + kernel.T))[::-1].clip(0.0)
+    assert_allclose(null_eigenvalues(kernel), want, rtol=0, atol=1e-13 * want[0])
 
 
 def test_null_eigenvalues_identities():
@@ -581,6 +631,20 @@ def test_statistic_invariant_to_orthogonal_conjugation():
         lambda q: 1e4 * q,
     ):
         assert_invariant_to_congruence(data, congruence)
+
+
+def test_unconverged_count_invariant_to_rotation():
+    # one fit here ends at the PD boundary (lambda_min / lambda_max 1e-10)
+    # unconverged, rotated or not; with the eigenvalue roots' error left out
+    # of the solver's rounding floor, a second fit stalled at that floor once
+    # rotated (2 against 1)
+    data = generate(SimConfig(example=2, n=60, p_y=3, p_z=3, d=6, delta_z=0.1, seed=3))[0]
+    o = haar_orthogonal(6, np.random.default_rng(0))
+    moved = Dataset(covariates=data.covariates, responses=o @ data.responses @ o.T, p1=data.p1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        unrotated, rotated = (fit_first_half(split_dataset(d)).nonconverged for d in (data, moved))
+    assert rotated == unrotated
 
 
 @pytest.mark.parametrize("c", [1e-3, 1e4])
