@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .frechet import Dataset, is_integer
-from .manifold import not_pd
 
 DATASET_FORMAT = "bwfrechet-dataset"
 RESULT_FORMAT = "bwfrechet-result"
@@ -42,13 +41,15 @@ def _float_cell(value):
 
 
 def read_json(path):
-    """Parse a JSON object from a file; an unreadable or malformed file, or
-    one whose top level is not an object, is invalid input."""
+    """Parse a JSON object from a file; an unreadable, non-UTF-8 or malformed
+    file, or one whose top level is not an object, is invalid input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -141,18 +142,7 @@ def _check_header(payload, where):
         )
 
 
-def _precheck_responses(responses, sample_ids, where):
-    vals = np.linalg.eigvalsh(responses)
-    bad = not_pd(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise InvalidInputError(
-            f"{where}: response for sample {sample_ids[i]} is not positive definite "
-            f"(minimum eigenvalue {vals[i, 0]:.6g})"
-        )
-
-
-def _load_json_dataset(path, p1_override):
+def _parse_json_dataset(path):
     payload = read_json(path)
     _check_header(payload, path)
     _require_keys(payload, ["n", "p", "p1", "d", "covariates", "responses"], path)
@@ -170,12 +160,7 @@ def _load_json_dataset(path, p1_override):
         raise InvalidInputError(
             f"{path}: responses shape {responses.shape} does not match n={n}, d={d}"
         )
-    if p1_override is not None:
-        p1 = p1_override
-    if not np.all(np.isfinite(responses)):
-        raise InvalidInputError(f"{path}: responses contain non-finite values")
-    _precheck_responses(0.5 * (responses + responses.transpose(0, 2, 1)), list(range(n)), path)
-    return Dataset(covariates=covariates, responses=responses, p1=p1)
+    return covariates, responses, p1
 
 
 def _read_csv_rows(path, expected_header):
@@ -185,6 +170,8 @@ def _read_csv_rows(path, expected_header):
             rows = list(reader)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path} is not UTF-8 text: {exc}") from None
     if not rows:
         raise InvalidInputError(f"{path}: empty file")
     if rows[0] != expected_header:
@@ -194,14 +181,12 @@ def _read_csv_rows(path, expected_header):
     return rows[1:]
 
 
-def _load_tabular_dataset(path, p1_override):
+def _parse_tabular_dataset(path):
     meta_path = os.path.join(path, _META_NAME)
     meta = read_json(meta_path)
     _check_header(meta, meta_path)
     _require_keys(meta, ["n", "p", "p1", "d"], meta_path)
     n, p, d, p1 = _int_keys(meta, ("n", "p", "d", "p1"), meta_path)
-    if p1_override is not None:
-        p1 = p1_override
 
     cov_path = os.path.join(path, _COV_NAME)
     header = ["sample_id"] + [f"x_{j + 1}" for j in range(p)]
@@ -252,11 +237,11 @@ def _load_tabular_dataset(path, p1_override):
                 # through the mirror of the transposed one
                 if (i, r, c) in explicit:
                     raise InvalidInputError(
-                        f"sample {sid}: entry ({r}, {c}) given twice with "
+                        f"{resp_path}: sample {sid}: entry ({r}, {c}) given twice with "
                         f"different values {float(existing)!r} and {value!r}"
                     )
                 raise InvalidInputError(
-                    f"sample {sid}: entries ({r}, {c}) and ({c}, {r}) disagree: "
+                    f"{resp_path}: sample {sid}: entries ({r}, {c}) and ({c}, {r}) disagree: "
                     f"{value!r} vs {float(existing)!r}"
                 )
         responses[i, r, c] = value
@@ -267,21 +252,23 @@ def _load_tabular_dataset(path, p1_override):
     for i, sid in enumerate(sample_ids):
         if np.isnan(responses[i]).any():
             r, c = np.argwhere(np.isnan(responses[i]))[0]
-            raise InvalidInputError(f"sample {sid}: missing response entry ({r}, {c})")
-
-    _precheck_responses(responses, sample_ids, resp_path)
-    return Dataset(covariates=covariates, responses=responses, p1=p1)
+            raise InvalidInputError(f"{resp_path}: sample {sid}: missing response entry ({r}, {c})")
+    return covariates, responses, p1
 
 
 def load_dataset(path, p1=None):
     """Load a dataset written by :func:`write_dataset`.
 
     A directory is read as the tabular layout, a file as JSON. Pass ``p1``
-    to override the retained-block size recorded in the file.
+    to override the retained-block size recorded in the file. The parsers
+    only parse: the ``Dataset`` checks what they read, naming ``path``.
     """
-    if os.path.isdir(path):
-        return _load_tabular_dataset(path, p1)
-    return _load_json_dataset(path, p1)
+    parse = _parse_tabular_dataset if os.path.isdir(path) else _parse_json_dataset
+    covariates, responses, recorded_p1 = parse(path)
+    try:
+        return Dataset(covariates, responses, recorded_p1 if p1 is None else p1)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def dataset_checksum(path):

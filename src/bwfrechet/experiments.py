@@ -42,8 +42,8 @@ from .partial_test import (
 from .simgen import SimConfig, generate, population_qstar
 
 
-# the items of a tuple field are numbers, and those of n_grid counts
-_ITEM_RULES = {"n_grid": (is_integer, "a list of integers")}
+# a tuple field holds one item or more: numbers, and for n_grid counts
+_ITEM_RULES = {"n_grid": (is_integer, "a non-empty list of integers")}
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ class ExperimentConfig:
         for f in fields(self):
             if f.type is tuple:
                 value = getattr(self, f.name)
-                check, what = _ITEM_RULES.get(f.name, (is_real, "a list of numbers"))
-                if not (isinstance(value, (tuple, list)) and all(check(v) for v in value)):
+                check, what = _ITEM_RULES.get(f.name, (is_real, "a non-empty list of numbers"))
+                if not (isinstance(value, (tuple, list)) and value and all(map(check, value))):
                     raise InvalidInputError(f"{f.name} must be {what}, got {value!r}")
                 object.__setattr__(self, f.name, tuple(value))
         if self.trials < 1 or self.consistency_trials < 1:
@@ -179,8 +179,9 @@ def _run_test_trial(config, index):
 
 def _map_trials(config, worker, trials):
     """Run ``worker(config, index)`` for each trial index, in order, inline or over processes."""
+    # the pool starts all its workers up front, so it gets no more than there are trials
     if config.processes > 1:
-        with ProcessPoolExecutor(max_workers=config.processes) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.processes, trials)) as pool:
             return list(pool.map(worker, repeat(config), range(trials)))
     return list(map(worker, repeat(config), range(trials)))
 

@@ -18,7 +18,7 @@ from .errors import (
     InvalidInputError,
     SingularError,
 )
-from .manifold import EPS_PD, TransportBatch, not_pd, sym_part
+from .manifold import EPS_PD, TransportBatch, not_pd, spd_eigh, sym_part
 
 
 def is_integer(value):
@@ -51,27 +51,24 @@ def check_fields(obj, error=InvalidInputError):
 
 def _validate_responses(responses, name="responses"):
     responses = np.asarray(responses, dtype=float)
-    if responses.ndim != 3 or responses.shape[-1] != responses.shape[-2]:
-        raise InvalidInputError(f"{name}: expected shape (n, d, d), got {responses.shape}")
-    if responses.shape[0] < 1:
-        raise InvalidInputError(f"{name}: need at least one matrix")
-    if not np.all(np.isfinite(responses)):
-        raise InvalidInputError(f"{name}: non-finite entries")
-    scale = np.abs(responses).max()
-    asym = np.abs(responses - responses.transpose(0, 2, 1)).max()
-    if scale > 0 and asym > 1e-12 * scale:
-        worst = int(np.abs(responses - responses.transpose(0, 2, 1)).max(axis=(1, 2)).argmax())
-        raise InvalidInputError(f"{name}: matrix for sample {worst} is not symmetric")
-    responses = sym_part(responses)
-    vals = np.linalg.eigvalsh(responses)
-    bad = not_pd(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise InvalidInputError(
-            f"{name}: matrix for sample {i} is not positive definite "
-            f"(eigenvalue range [{vals[i, 0]:.6g}, {vals[i, -1]:.6g}])"
-        )
-    return responses
+    if responses.ndim != 3 or responses.shape[0] < 1:
+        raise InvalidInputError(f"{name}: expected shape (n, d, d), n >= 1, got {responses.shape}")
+    return spd_eigh(responses, name, InvalidInputError)[0]
+
+
+def _check_covariates(x, p1):
+    """Covariate rule: a finite (n, p) array, n >= 1, and p1 an integer in [0, p]; returns int(p1)."""
+    if x.ndim != 2:
+        raise InvalidInputError(f"covariates: expected shape (n, p), got {x.shape}")
+    if x.shape[0] < 1:
+        raise InvalidInputError("covariates: need at least one row")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("covariates: non-finite entries")
+    if not is_integer(p1):
+        raise InvalidInputError(f"p1 must be an integer, got {p1!r}")
+    if not 0 <= p1 <= x.shape[1]:
+        raise InvalidInputError(f"p1 must lie in [0, {x.shape[1]}], got {p1}")
+    return int(p1)
 
 
 @dataclass(frozen=True)
@@ -99,18 +96,8 @@ class CovariateMoments:
     @classmethod
     def from_covariates(cls, covariates, p1):
         x = np.asarray(covariates, dtype=float)
-        if x.ndim != 2:
-            raise InvalidInputError(f"covariates: expected shape (n, p), got {x.shape}")
-        n, p = x.shape
-        if n < 1:
-            raise InvalidInputError("covariates: need at least one row")
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError("covariates: non-finite entries")
-        if not is_integer(p1):
-            raise InvalidInputError(f"p1 must be an integer, got {p1!r}")
-        p1 = int(p1)
-        if not 0 <= p1 <= p:
-            raise InvalidInputError(f"p1 must lie in [0, {p}], got {p1}")
+        p1 = _check_covariates(x, p1)
+        n = x.shape[0]
         mean = x.mean(axis=0)
         xc = x - mean
         cov = (xc.T @ xc) / n
@@ -175,19 +162,12 @@ class Dataset:
         x = np.asarray(self.covariates, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        if x.ndim != 2:
-            raise InvalidInputError(f"covariates: expected shape (n, p), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError("covariates: non-finite entries")
+        p1 = _check_covariates(x, self.p1)
         q = _validate_responses(self.responses)
         if q.shape[0] != x.shape[0]:
             raise InvalidInputError(
                 f"sample mismatch: {x.shape[0]} covariate rows vs {q.shape[0]} responses"
             )
-        check_fields(self)
-        p1 = int(self.p1)
-        if not 0 <= p1 <= x.shape[1]:
-            raise InvalidInputError(f"p1 must lie in [0, {x.shape[1]}], got {self.p1}")
         x = x.copy()
         x.flags.writeable = False
         q.flags.writeable = False

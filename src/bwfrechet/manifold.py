@@ -5,9 +5,9 @@ of the transport map in its base point, together with a fixed orthonormal
 coordinate system for the space of symmetric matrices that the rest of the
 package shares.
 
-All matrices are real, validated to be symmetric within a relative tolerance
-of 1e-12 (and symmetrized), with eigenvalues required to exceed ``EPS_PD``
-(1e-10) relative to the largest eigenvalue.
+Every SPD input of the package passes :func:`spd_eigh`: real, finite, square,
+symmetric within a relative tolerance of 1e-12 (and symmetrized), with
+eigenvalues required to exceed ``EPS_PD`` (1e-10) relative to the largest.
 """
 
 import functools
@@ -35,43 +35,53 @@ def not_pd(vals):
     return vals[..., 0] <= EPS_PD * np.maximum(vals[..., -1], 0.0)
 
 
-def _as_square(a, name):
+def spd_eigh(a, name, error=IllConditionedError):
+    """Check an SPD input, one matrix or a stack (..., d, d); return (a, vals, vecs).
+
+    A matrix that is not real, square and finite, or not symmetric within
+    ``_SYM_RTOL`` of its largest entry, is invalid input. ``error`` names
+    the first matrix of the symmetrized ``a`` that fails :func:`not_pd`.
+    """
     try:
         a = np.asarray(a, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{name}: not a real matrix: {exc}") from None
     if a.ndim == 0:
         a = a.reshape(1, 1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise InvalidInputError(f"{name}: expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name}: non-finite entries")
-    return a
 
+    def first(bad):
+        i = tuple(np.argwhere(bad)[0].tolist())
+        return i, f"{name}{list(i)}" if i else name
 
-def _validated_eigh(a, name):
-    """Symmetrize, eigendecompose and enforce positive definiteness."""
-    a = _as_square(a, name)
-    scale = np.abs(a).max()
-    if scale > 0 and np.abs(a - a.T).max() > _SYM_RTOL * scale:
-        raise InvalidInputError(f"{name}: not symmetric within relative tolerance {_SYM_RTOL}")
+    asym = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
+    bad = asym > _SYM_RTOL * np.abs(a).max(axis=(-2, -1))
+    if np.any(bad):
+        raise InvalidInputError(
+            f"{first(bad)[1]}: not symmetric within relative tolerance {_SYM_RTOL}"
+        )
     a = sym_part(a)
     vals, vecs = np.linalg.eigh(a)
-    if not_pd(vals):
-        raise IllConditionedError(
-            f"{name}: not positive definite at relative threshold {EPS_PD} "
-            f"(eigenvalue range [{vals[0]:.6g}, {vals[-1]:.6g}])"
+    bad = not_pd(vals)
+    if np.any(bad):
+        i, label = first(bad)
+        raise error(
+            f"{label}: not positive definite at relative threshold {EPS_PD} "
+            f"(eigenvalue range [{vals[i][0]:.6g}, {vals[i][-1]:.6g}])"
         )
     return a, vals, vecs
 
 
 def _pair_batch(base, target, name, first="base", second="target"):
     """Validate a base and a target and build the batch from one to the other."""
-    base, vals, vecs = _validated_eigh(base, f"{name}: {first}")
-    target, _, _ = _validated_eigh(target, f"{name}: {second}")
-    if base.shape != target.shape:
-        raise InvalidInputError(f"{name}: dimension mismatch {base.shape} vs {target.shape}")
-    return base, target, TransportBatch.from_eigh(vals, vecs, target[None])
+    base, vals, vecs = spd_eigh(base, f"{name}: {first}")
+    target = spd_eigh(target, f"{name}: {second}")[0]
+    if base.ndim != 2 or base.shape != target.shape:
+        raise InvalidInputError(f"{name}: not two d x d matrices: {base.shape}, {target.shape}")
+    return TransportBatch.from_eigh(vals, vecs, target[None])
 
 
 def wasserstein_distance(a, b):
@@ -82,8 +92,8 @@ def wasserstein_distance(a, b):
     from T, so nearly identical inputs keep their relative accuracy where
     the trace form cancels.
     """
-    a, _, batch = _pair_batch(a, b, "wasserstein_distance", "first argument", "second argument")
-    return float(np.linalg.norm((batch.maps()[0] - np.eye(a.shape[0])) @ batch.root))
+    batch = _pair_batch(a, b, "wasserstein_distance", "first argument", "second argument")
+    return float(np.linalg.norm((batch.maps()[0] - np.eye(batch.d)) @ batch.root))
 
 
 def ot_map(base, target):
@@ -92,7 +102,7 @@ def ot_map(base, target):
     T = base^{-1/2} (base^{1/2} target base^{1/2})^{1/2} base^{-1/2}; T is
     symmetric positive definite and satisfies T base T = target.
     """
-    return _pair_batch(base, target, "ot_map")[2].maps()[0]
+    return _pair_batch(base, target, "ot_map").maps()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +218,7 @@ class TransportBatch:
     """
 
     def __init__(self, base, targets):
-        base, vals, vecs = _validated_eigh(base, "TransportBatch: base")
+        base, vals, vecs = spd_eigh(base, "TransportBatch: base")
         targets = np.asarray(targets, dtype=float)
         if targets.ndim == 2:
             targets = targets[None]
@@ -310,5 +320,5 @@ def ot_map_differential(base, target):
     dT (base T) + (T base) dT = -T H T. Self-adjoint with nonpositive
     spectrum when target is positive definite.
     """
-    batch = _pair_batch(base, target, "ot_map_differential")[2]
+    batch = _pair_batch(base, target, "ot_map_differential")
     return SymOperator(batch.d, weighted_dt_matrix(*batch.dt_factors(), np.ones(1)))

@@ -377,3 +377,47 @@ def test_config_validation(tmp_path, capsys):
         assert rc == 2, key
         assert f"{key} must be an integer" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_non_utf8_inputs_are_invalid(tmp_path, capsys):
+    # a JSON dataset that opens with a UTF-16 byte order mark
+    data = tmp_path / "utf16.json"
+    data.write_bytes(b"\xff\xfe" + json.dumps({"n": 2}).encode("utf-16-le"))
+    assert run_cli("test", "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and str(data) in err
+
+    # a tabular directory with one stray byte in its covariates
+    tab = simulate(tmp_path, name="tab", fmt="tabular")
+    cov = tab / "covariates.csv"
+    cov.write_bytes(cov.read_bytes().replace(b"x_1", b"x_\xff1", 1))
+    assert run_cli("test", "--data", str(tab)) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and str(cov) in err
+
+    # and a study configuration
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"n": 16, "note": "\xff"}')
+    assert run_cli("size", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and str(cfg) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_response_named_by_path_and_row(tmp_path, capsys):
+    data = simulate(tmp_path, n=6)
+    payload = json.loads(data.read_text())
+    payload["responses"][4][0][0] = -1.0
+    data.write_text(json.dumps(payload))
+    assert run_cli("test", "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert f"{data}: responses[4]: not positive definite" in err
+
+
+def test_empty_grid_exits_2(tmp_path, capsys):
+    for command, key in (("power", "delta_grid"), ("consistency", "n_grid")):
+        cfg = write_config(tmp_path, trials=1, consistency_trials=1, **{key: []})
+        rc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert rc == 2, command
+        assert f"{key} must be a non-empty list" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -239,3 +239,44 @@ def test_qq_and_ks_use_the_exact_law():
     reference = stats.kstest(sample, stats.chi2(3, scale=0.5).cdf).statistic
     assert ks == pytest.approx(reference, abs=1e-12)
     assert mixture_ks_distance(sample, lam) == ks
+
+
+def test_experiment_config_rejects_empty_grids():
+    for key in ("delta_grid", "n_grid", "lattice"):
+        for empty in ((), []):
+            with pytest.raises(InvalidInputError, match=f"{key} must be a non-empty list"):
+                ExperimentConfig(**{key: empty})
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps in process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_map_trials_starts_no_more_workers_than_trials(monkeypatch):
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "started", [])
+
+    def worker(config, index):
+        return (config.processes, index)
+
+    for processes, trials, workers in ((64, 3, 3), (2, 5, 2), (5, 5, 5)):
+        config = tiny_config(processes=processes)
+        assert ex._map_trials(config, worker, trials) == [(processes, i) for i in range(trials)]
+        assert _InlinePool.started[-1] == workers
+    # a single process runs inline and starts no pool
+    assert ex._map_trials(tiny_config(), worker, 4) == [(1, i) for i in range(4)]
+    assert len(_InlinePool.started) == 3
