@@ -4,8 +4,9 @@ Two dataset layouts are supported: a single JSON document, and a tabular
 directory holding ``meta.json``, ``covariates.csv`` and ``responses.csv``
 with responses in long (sample_id, row, col, value) form, 0-based indices.
 Off-diagonal response entries may be given once (the mirror entry is
-completed) or twice (the two values must agree); missing or contradictory
-entries are rejected with the offending sample named.
+completed) or at both places (the ``Dataset`` checks their symmetry); an
+entry repeated with another value, or missing, is rejected with the
+offending sample named.
 
 All files are written without timestamps so byte-identical inputs and
 settings produce byte-identical outputs.
@@ -15,6 +16,7 @@ import csv
 import hashlib
 import json
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -160,6 +162,13 @@ def _parse_json_dataset(path):
         raise InvalidInputError(
             f"{path}: responses shape {responses.shape} does not match n={n}, d={d}"
         )
+    # the arrays have those shapes, so each cell is a scalar; a bool or a
+    # numeric string converts to a float above but is no JSON number
+    rows = {"covariates": payload["covariates"], "responses": chain.from_iterable(payload["responses"])}
+    for name, cells in rows.items():
+        bad = next((v for v in chain.from_iterable(cells) if type(v) not in (int, float)), None)
+        if bad is not None:
+            raise InvalidInputError(f"{path}: {name}: expected JSON numbers, got {bad!r}")
     return covariates, responses, p1
 
 
@@ -213,7 +222,6 @@ def _parse_tabular_dataset(path):
     resp_path = os.path.join(path, _RESP_NAME)
     rows = _read_csv_rows(resp_path, ["sample_id", "row", "col", "value"])
     responses = np.full((n, d, d), np.nan)
-    explicit = set()
     for line_no, row in enumerate(rows, start=2):
         if len(row) != 4:
             raise InvalidInputError(f"{resp_path}: row {line_no} has {len(row)} fields, expected 4")
@@ -230,25 +238,17 @@ def _parse_tabular_dataset(path):
             )
         i = id_to_index[sid]
         existing = responses[i, r, c]
-        if not np.isnan(existing):
-            tol = 1e-12 * max(abs(existing), abs(value), 1.0)
-            if abs(existing - value) > tol:
-                # a conflicting value may come from a repeat of this entry or
-                # through the mirror of the transposed one
-                if (i, r, c) in explicit:
-                    raise InvalidInputError(
-                        f"{resp_path}: sample {sid}: entry ({r}, {c}) given twice with "
-                        f"different values {float(existing)!r} and {value!r}"
-                    )
-                raise InvalidInputError(
-                    f"{resp_path}: sample {sid}: entries ({r}, {c}) and ({c}, {r}) disagree: "
-                    f"{value!r} vs {float(existing)!r}"
-                )
+        if not np.isnan(existing) and existing != value:
+            raise InvalidInputError(
+                f"{resp_path}: sample {sid}: entry ({r}, {c}) given twice with "
+                f"different values {float(existing)!r} and {value!r}"
+            )
         responses[i, r, c] = value
-        explicit.add((i, r, c))
-        if np.isnan(responses[i, c, r]):
-            responses[i, c, r] = value
 
+    # an entry given once is completed from its mirror; when both are given,
+    # the Dataset judges their symmetry
+    missing = np.isnan(responses)
+    responses[missing] = np.swapaxes(responses, 1, 2)[missing]
     for i, sid in enumerate(sample_ids):
         if np.isnan(responses[i]).any():
             r, c = np.argwhere(np.isnan(responses[i]))[0]

@@ -16,7 +16,6 @@ sample sizes in the consistency study. Failed trials are recorded with the
 error message rather than dropped.
 """
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product, repeat
@@ -27,10 +26,12 @@ from .errors import BwfrechetError, InvalidInputError
 from .frechet import (
     CovariateMoments,
     SolverOptions,
+    _fit_mean,
     check_fields,
-    frechet_regress,
     is_integer,
     is_real,
+    regression_weights,
+    start_state,
 )
 from .partial_test import (
     TestOptions,
@@ -38,6 +39,7 @@ from .partial_test import (
     mixture_quantile,
     p_value,
     run_partial_test,
+    split_dataset,
 )
 from .simgen import SimConfig, generate, population_qstar
 
@@ -335,21 +337,18 @@ def _run_consistency_trial(config, index):
     try:
         data, truth = generate(config.sim_config(seed=data_seed))
         lattice = _evaluation_lattice(config)
-        n1 = (data.n + 1) // 2
-        first_moments = CovariateMoments.from_covariates(data.covariates[:n1], data.p1)
+        first_moments = split_dataset(data).moments
         full_moments = CovariateMoments.from_covariates(data.covariates, data.p1)
-        solver = SolverOptions()
+        start = start_state(data.responses)
         worst = 0.0
         nonconverged = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for row in lattice:
-                xhat = imputed_covariates(row, first_moments)
-                fit = frechet_regress(data, xhat, full_moments, solver)
-                if not fit.converged:
-                    nonconverged += 1
-                target = population_qstar(truth, row)
-                worst = max(worst, float(np.linalg.norm(fit.mean - target)))
+        for row in lattice:
+            xhat = imputed_covariates(row, first_moments)
+            w = regression_weights(xhat, data.covariates, full_moments)
+            fit = _fit_mean(data.responses, w, SolverOptions(), start)[0]
+            nonconverged += not fit.converged
+            target = population_qstar(truth, row)
+            worst = max(worst, float(np.linalg.norm(fit.mean - target)))
         return ConsistencyTrial(
             index=index,
             data_seed=data_seed,

@@ -283,7 +283,8 @@ def _fit_mean(qs, weights, options, start=None):
     nothing), or when its objective lies within that floor of the current
     one and it lowers the gradient norm: there the objective cannot rank the
     two iterates, and the gradient, which has no cancellation, can.
-    ``iterations`` reports min(steps taken + 1, ``max_iters``).
+    ``iterations`` reports min(steps taken + 1, ``max_iters``), and
+    ``converged`` alone reports an unconverged fit: this loop never warns.
 
     Returns the ``FitResult`` and the ``TransportBatch`` from the returned
     mean to the responses, which the solver built at that iterate.
@@ -329,22 +330,26 @@ def _fit_mean(qs, weights, options, start=None):
             break
         steps += 1
 
-    iterations = min(steps + 1, options.max_iters)
-    if not converged:
-        warnings.warn(
-            f"weighted Frechet mean did not converge in {iterations} iterations "
-            f"(gradient norm {grad_norm:.3g}); returning best iterate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     fit = FitResult(
         mean=s,
         converged=converged,
-        iterations=iterations,
+        iterations=min(steps + 1, options.max_iters),
         grad_norm=grad_norm,
         objective=obj,
     )
     return fit, batch
+
+
+def _reported(fit):
+    """Warn, at the line that called the public fit function, when ``fit`` did not converge."""
+    if not fit.converged:
+        warnings.warn(
+            f"weighted Frechet mean did not converge in {fit.iterations} iterations "
+            f"(gradient norm {fit.grad_norm:.3g}); returning best iterate",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return fit
 
 
 def weighted_frechet_mean(responses, weights, options=None):
@@ -376,7 +381,7 @@ def weighted_frechet_mean(responses, weights, options=None):
         raise InvalidInputError("weights: non-finite entries")
     if weights.sum() <= 0:
         raise InvalidInputError("weights must have positive sum")
-    return _fit_mean(qs, weights, options)[0]
+    return _reported(_fit_mean(qs, weights, options)[0])
 
 
 def regression_weights(x, covariates, moments):
@@ -411,6 +416,7 @@ def frechet_regress(data, x, moments=None, options=None):
     Returns
     -------
     FitResult
+        An unconverged fit warns as in :func:`weighted_frechet_mean`.
     """
     if moments is None:
         moments = CovariateMoments.from_covariates(data.covariates, data.p1)
@@ -418,4 +424,4 @@ def frechet_regress(data, x, moments=None, options=None):
     w = regression_weights(x, data.covariates, moments)
     if w.sum() <= 0:
         raise InvalidInputError("regression weights at x have nonpositive sum")
-    return _fit_mean(data.responses, w, options)[0]
+    return _reported(_fit_mean(data.responses, w, options)[0])

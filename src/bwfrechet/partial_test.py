@@ -24,7 +24,6 @@ one batch, and results are bit-identical for any thread count.
 import contextlib
 import functools
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -139,18 +138,6 @@ def _add_gram(kernel, rows):
             kernel[j : j + _TILE, i : i + _TILE] += tile.T
 
 
-@contextlib.contextmanager
-def _fit_pool(threads):
-    """Thread pool for the fits (None for one thread), with solver warnings silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                yield pool
-        else:
-            yield None
-
-
 @dataclass
 class FirstHalfFit:
     """The first-half regression fits and what the test builds from them.
@@ -189,11 +176,7 @@ class FirstHalfFit:
         """
         s = self.split
         q1, x1, m = s.first_responses, s.first_covariates, s.moments
-        with _fit_pool(1):
-            fits = [
-                _fit_mean(q1, regression_weights(x, x1, m), self.options, self.start)[0]
-                for x in x1
-            ]
+        fits = [_fit_mean(q1, regression_weights(x, x1, m), self.options, self.start)[0] for x in x1]
         return np.stack([r.mean for r in fits])
 
 
@@ -245,7 +228,7 @@ def fit_first_half(split, options=None, threads=1):
     kernel = np.zeros((n1, n1))
     discrepancy = 0.0
     min_eig = np.inf
-    with _fit_pool(threads) as pool:
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
         fit_map = map if pool is None else pool.map
         for first in range(0, split.n2, _BLOCK):
             rows = range(first, min(first + _BLOCK, split.n2))

@@ -163,9 +163,9 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
 
 
 def test_exit_code_unreliable(tmp_path, capsys):
-    # n=4 leaves two fitting samples and n=3 one: singular moments in every
-    # such trial, so each test study, and the consistency study at n=3,
-    # completes zero trials and reports an unreliable result
+    # n=4 leaves two fitting samples: singular moments in every such trial;
+    # n=3 is too few to split at all. So each test study, and the consistency
+    # study at n=3, completes zero trials and reports an unreliable result
     cfg = write_config(tmp_path, n=4, trials=2, n_grid=[3, 16], consistency_trials=2)
     for command in ("qq", "size", "power", "consistency"):
         out = tmp_path / command
@@ -178,7 +178,10 @@ def test_exit_code_unreliable(tmp_path, capsys):
         if command == "consistency":
             assert {row["n"] for row in rows} == {"3", "16"}
             rows = [row for row in rows if row["n"] == "3"]
-        assert rows and all("SingularError" in row["error"] for row in rows)
+            too_few = "InvalidInputError: need at least 4 samples"
+            assert rows and all(too_few in row["error"] for row in rows)
+        else:
+            assert rows and all("SingularError" in row["error"] for row in rows)
         assert not (out / "summary.json").exists()
 
 

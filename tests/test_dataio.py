@@ -141,8 +141,24 @@ def test_tabular_mirror_disagreement(tmp_path):
     path = tmp_path / "tab"
     resp = BASE_RESP + [[0, 1, 0, 0.5001]]
     write_tabular_by_hand(path, BASE_META, BASE_COV, resp)
-    with pytest.raises(InvalidInputError, match="disagree"):
+    with pytest.raises(InvalidInputError, match="not symmetric"):
         load_dataset(path)
+
+
+def test_both_layouts_judge_symmetry_alike(tmp_path):
+    # (0, 1) and (1, 0) differ by 1e-9, within 1e-12 of the largest entry
+    # but not of their own size: the Dataset alone judges the symmetry
+    mat = [[1e6, 1e-3], [1e-3 + 1e-9, 2e6]]
+    cov = [[0.25, -0.5]]
+    meta = {**BASE_META, "n": 1}
+    json_path = tmp_path / "one.json"
+    json_path.write_text(json.dumps({**meta, "covariates": cov, "responses": [mat]}))
+    tab_path = tmp_path / "tab"
+    resp = [[0, r, c, mat[r][c]] for r in range(2) for c in range(2)]
+    write_tabular_by_hand(tab_path, meta, [[0] + cov[0]], resp)
+    from_json, from_tab = load_dataset(json_path), load_dataset(tab_path)
+    assert np.array_equal(from_json.responses, from_tab.responses)
+    assert np.array_equal(from_json.covariates, from_tab.covariates)
 
 
 def test_tabular_duplicate_entry_disagreement(tmp_path):
@@ -226,6 +242,32 @@ def test_version_1_dataset_loads(tmp_path):
     data = load_dataset(path)
     assert_allclose(data.covariates, [[0.25, -0.5], [-1.0, 0.75]], atol=0)
     assert_allclose(data.responses[1], [[3.0, -0.25], [-0.25, 1.0]], atol=0)
+
+
+def test_json_cells_must_be_numbers(tmp_path):
+    # a bool or a numeric string converts to a float, but is no JSON number
+    cov = [[True, "-0.5"], ["2.0", 0.6]]
+    resp = [[[2.0, 0.5], [0.5, 1.5]], [[3.0, -0.25], [-0.25, 1.0]]]
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({**BASE_META, "covariates": cov, "responses": resp}))
+    with pytest.raises(InvalidInputError, match=r"d\.json: covariates: expected JSON numbers, got True"):
+        load_dataset(path)
+    cases = [("covariates", (1, 0), "2.0"), ("covariates", (0, 1), False),
+             ("responses", (1, 1, 1), "1.0"), ("responses", (0, 0, 1), True)]
+    for name, cell, bad in cases:
+        # a fresh copy of a valid file, with one bad cell
+        good = {**BASE_META, "covariates": [[0.25, -0.5], [-1, 0.75]], "responses": resp}
+        payload = json.loads(json.dumps(good))
+        target = payload[name]
+        for i in cell[:-1]:
+            target = target[i]
+        target[cell[-1]] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidInputError, match=f"{name}: expected JSON numbers, got {bad!r}"):
+            load_dataset(path)
+    # an integer is a number
+    path.write_text(json.dumps({**BASE_META, "covariates": [[0, -1], [2, 1]], "responses": resp}))
+    assert np.array_equal(load_dataset(path).covariates, [[0.0, -1.0], [2.0, 1.0]])
 
 
 def test_json_validation(tmp_path):

@@ -322,6 +322,17 @@ def test_reported_iterations():
     assert abs(fit.grad_norm - rebuilt) <= 1e-15 * scale
 
 
+def test_unconverged_warning_names_the_callers_line():
+    data, _ = generate(SimConfig(example=2, n=40, p_y=2, p_z=2, d=4, seed=2))
+    opts = SolverOptions(max_iters=1, grad_tol=1e-14)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mean = weighted_frechet_mean(data.responses, np.ones(data.n), opts)
+        regress = frechet_regress(data, data.covariates[0], options=opts)
+    assert not mean.converged and not regress.converged
+    assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, __file__)] * 2
+
+
 # ---------------------------------------------------------------------------
 # curvature operator
 # ---------------------------------------------------------------------------

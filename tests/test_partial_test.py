@@ -1,6 +1,8 @@
 import functools
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -377,9 +379,7 @@ def evaluation_peak_bytes():
     split = split_dataset(data)
     tracemalloc.start()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            fit = fit_first_half(split)
+        fit = fit_first_half(split)
         pt.test_statistic(fit, max_nonconverged=1.0)
         kernel = kernel_matrix(fit)
         return tracemalloc.get_traced_memory()[1], kernel
@@ -641,10 +641,45 @@ def test_unconverged_count_invariant_to_rotation():
     data = generate(SimConfig(example=2, n=60, p_y=3, p_z=3, d=6, delta_z=0.1, seed=3))[0]
     o = haar_orthogonal(6, np.random.default_rng(0))
     moved = Dataset(covariates=data.covariates, responses=o @ data.responses @ o.T, p1=data.p1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        unrotated, rotated = (fit_first_half(split_dataset(d)).nonconverged for d in (data, moved))
+    unrotated, rotated = (fit_first_half(split_dataset(d)).nonconverged for d in (data, moved))
     assert rotated == unrotated
+
+
+def test_unconverged_fit_is_counted_not_warned():
+    # the rotated case above has one unconverged fit of 60; the test reports
+    # it in its diagnostics and raises no warning, even where every warning
+    # is an error
+    data = generate(SimConfig(example=2, n=60, p_y=3, p_z=3, d=6, delta_z=0.1, seed=3))[0]
+    o = haar_orthogonal(6, np.random.default_rng(0))
+    moved = Dataset(covariates=data.covariates, responses=o @ data.responses @ o.T, p1=data.p1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_partial_test(moved)
+    assert (result.diagnostics.nonconverged, result.diagnostics.n_fits) == (1, 60)
+
+
+def test_concurrent_tests_leave_the_warning_filters_alone():
+    # two tests started together in two threads: a warning filter that one
+    # installs and restores around its fits can be left behind for the whole
+    # process by the other's restore, silencing every later RuntimeWarning
+    data = generate(SimConfig(example=2, n=40, p_y=2, p_z=2, d=4, delta_z=0.0, seed=5))[0]
+    barrier = threading.Barrier(2)
+
+    def run(_):
+        barrier.wait()
+        return run_partial_test(data, pt.TestOptions(max_nonconverged=1.0))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        before = list(warnings.filters)
+        # each round overlaps the two tests anew
+        for _ in range(5):
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                first, second = pool.map(run, range(2))
+            assert warnings.filters == before
+            assert first.statistic == second.statistic
+        with pytest.raises(RuntimeWarning, match="did not converge"):
+            weighted_frechet_mean(data.responses, np.ones(data.n), SolverOptions(max_iters=1))
 
 
 @pytest.mark.parametrize("c", [1e-3, 1e4])
