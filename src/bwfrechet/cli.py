@@ -46,28 +46,18 @@ from .partial_test import TestOptions, run_partial_test
 from .simgen import SimConfig, generate
 
 
-def _env_int(name):
+def _env_default(value, name, fallback):
+    """``value`` if given, else the integer in environment variable ``name``,
+    else ``fallback``."""
+    if value is not None:
+        return value
     raw = os.environ.get(name)
     if raw is None or raw == "":
-        return None
+        return fallback
     try:
         return int(raw)
     except ValueError:
         raise InvalidInputError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _default_seed(value):
-    if value is not None:
-        return value
-    env = _env_int("BWFRECHET_SEED")
-    return 0 if env is None else env
-
-
-def _default_threads(value):
-    if value is not None:
-        return value
-    env = _env_int("BWFRECHET_THREADS")
-    return 1 if env is None else env
 
 
 def _parse_vector(text):
@@ -85,7 +75,7 @@ def _cmd_simulate(args):
         p_z=args.p_z,
         d=args.d,
         delta_z=args.delta_z,
-        seed=_default_seed(args.seed),
+        seed=_env_default(args.seed, "BWFRECHET_SEED", 0),
     )
     data, truth = generate(config)
     metadata = {
@@ -134,8 +124,8 @@ def _cmd_test(args):
     options = TestOptions(
         alpha=args.alpha,
         mc_draws=args.mc_draws,
-        seed=_default_seed(args.seed),
-        threads=_default_threads(args.threads),
+        seed=_env_default(args.seed, "BWFRECHET_SEED", 0),
+        threads=_env_default(args.threads, "BWFRECHET_THREADS", 1),
         permute_seed=args.permute_seed,
         max_nonconverged=args.max_nonconverged,
     )

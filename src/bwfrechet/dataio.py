@@ -221,7 +221,8 @@ def _parse_tabular_dataset(path):
 
     resp_path = os.path.join(path, _RESP_NAME)
     rows = _read_csv_rows(resp_path, ["sample_id", "row", "col", "value"])
-    responses = np.full((n, d, d), np.nan)
+    responses = np.zeros((n, d, d))
+    given = np.zeros((n, d, d), dtype=bool)
     for line_no, row in enumerate(rows, start=2):
         if len(row) != 4:
             raise InvalidInputError(f"{resp_path}: row {line_no} has {len(row)} fields, expected 4")
@@ -238,21 +239,23 @@ def _parse_tabular_dataset(path):
             )
         i = id_to_index[sid]
         existing = responses[i, r, c]
-        if not np.isnan(existing) and existing != value:
+        if given[i, r, c] and not np.array_equal(existing, value, equal_nan=True):
             raise InvalidInputError(
                 f"{resp_path}: sample {sid}: entry ({r}, {c}) given twice with "
                 f"different values {float(existing)!r} and {value!r}"
             )
         responses[i, r, c] = value
+        given[i, r, c] = True
 
-    # an entry given once is completed from its mirror; when both are given,
-    # the Dataset judges their symmetry
-    missing = np.isnan(responses)
-    responses[missing] = np.swapaxes(responses, 1, 2)[missing]
-    for i, sid in enumerate(sample_ids):
-        if np.isnan(responses[i]).any():
-            r, c = np.argwhere(np.isnan(responses[i]))[0]
-            raise InvalidInputError(f"{resp_path}: sample {sid}: missing response entry ({r}, {c})")
+    # an entry not given is completed from its mirror; when both are given,
+    # the Dataset judges their symmetry, and it rejects non-finite values
+    responses[~given] = np.swapaxes(responses, 1, 2)[~given]
+    given |= np.swapaxes(given, 1, 2)
+    if not given.all():
+        i, r, c = np.argwhere(~given)[0]
+        raise InvalidInputError(
+            f"{resp_path}: sample {sample_ids[i]}: missing response entry ({r}, {c})"
+        )
     return covariates, responses, p1
 
 
@@ -274,21 +277,13 @@ def load_dataset(path, p1=None):
 def dataset_checksum(path):
     """SHA-256 hex digest of a dataset file, or of a tabular directory's files."""
     digest = hashlib.sha256()
-    if os.path.isdir(path):
-        names = [_META_NAME, _COV_NAME, _RESP_NAME]
-        for name in names:
-            full = os.path.join(path, name)
-            try:
-                with open(full, "rb") as fh:
-                    digest.update(fh.read())
-            except OSError as exc:
-                raise InvalidInputError(f"cannot read {full}: {exc}") from None
-        return digest.hexdigest()
-    try:
-        with open(path, "rb") as fh:
-            digest.update(fh.read())
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from None
+    names = (_META_NAME, _COV_NAME, _RESP_NAME)
+    for full in [os.path.join(path, name) for name in names] if os.path.isdir(path) else [path]:
+        try:
+            with open(full, "rb") as fh:
+                digest.update(fh.read())
+        except OSError as exc:
+            raise InvalidInputError(f"cannot read {full}: {exc}") from None
     return digest.hexdigest()
 
 

@@ -50,38 +50,48 @@ from .manifold import (
 
 @dataclass(frozen=True)
 class SplitDataset:
-    """A dataset with a fixed half split and cached first-half moments.
+    """A dataset split into fitting and evaluation rows.
 
-    The first ``n1`` rows are the fitting half, the remaining ``n2`` rows the
-    evaluation half. ``moments`` are first-half covariate moments (divisor
-    n1).
+    ``fit_rows`` and ``eval_rows`` are read-only index arrays into ``data``,
+    the rows of the fitting and of the evaluation half; ``moments`` are the
+    fitting rows' covariate moments (divisor n1). The swapped direction is
+    ``SplitDataset(data, eval_rows, fit_rows, moments of the eval rows)``.
     """
 
     data: Dataset
-    n1: int
-    n2: int
+    fit_rows: np.ndarray
+    eval_rows: np.ndarray
     moments: CovariateMoments
 
     @property
+    def n1(self):
+        return self.fit_rows.size
+
+    @property
+    def n2(self):
+        return self.eval_rows.size
+
+    @property
     def first_covariates(self):
-        return self.data.covariates[: self.n1]
+        return self.data.covariates[self.fit_rows]
 
     @property
     def second_covariates(self):
-        return self.data.covariates[self.n1 :]
+        return self.data.covariates[self.eval_rows]
 
     @property
     def first_responses(self):
-        return self.data.responses[: self.n1]
+        return self.data.responses[self.fit_rows]
 
 
 def split_dataset(data, permute_seed=None):
     """Split a dataset in half for the partial-effect test.
 
     The first ceil(n/2) rows form the fitting half. Pass ``permute_seed`` to
-    apply a seeded random permutation before splitting; by default the given
+    take the rows in a seeded random order instead; by default the given
     row order is kept, which preserves reproducibility for data that are
-    already exchangeable.
+    already exchangeable. Either way ``data`` itself is neither copied nor
+    checked again.
     """
     if data.n < 4:
         raise InvalidInputError(f"need at least 4 samples to split, got {data.n}")
@@ -91,15 +101,15 @@ def split_dataset(data, permute_seed=None):
         raise InvalidInputError(
             "the tested trailing block must contain at least one covariate (p1 < p)"
         )
+    rows = np.arange(data.n)
     if permute_seed is not None:
         if not is_integer(permute_seed) or permute_seed < 0:
             raise InvalidInputError(f"permute_seed must be an integer >= 0, got {permute_seed!r}")
-        perm = np.random.default_rng(np.random.SeedSequence(permute_seed)).permutation(data.n)
-        data = data.subset(perm)
+        rows = np.random.default_rng(np.random.SeedSequence(permute_seed)).permutation(data.n)
+    rows.flags.writeable = False
     n1 = (data.n + 1) // 2
-    n2 = data.n - n1
-    moments = CovariateMoments.from_covariates(data.covariates[:n1], data.p1)
-    return SplitDataset(data=data, n1=n1, n2=n2, moments=moments)
+    moments = CovariateMoments.from_covariates(data.covariates[rows[:n1]], data.p1)
+    return SplitDataset(data, rows[:n1], rows[n1:], moments)
 
 
 def imputed_covariates(x, moments):

@@ -176,6 +176,22 @@ def test_tabular_missing_entry(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "resp, match",
+    [
+        # a nan entry is given, so its mirror does not replace it
+        ([[0, 0, 0, 2.0], [0, 0, 1, "nan"], [0, 1, 0, 0.5], [0, 1, 1, 1.5]], "non-finite"),
+        ([[0, 0, 0, "nan"], [0, 0, 1, 0.5], [0, 1, 1, 1.5]], "non-finite"),
+        ([[0, 0, 0, 2.0], [0, 0, 1, "nan"], [0, 0, 1, 0.7], [0, 1, 1, 1.5]], "given twice"),
+    ],
+)
+def test_tabular_nan_entry_counts_as_given(tmp_path, resp, match):
+    path = tmp_path / "tab"
+    write_tabular_by_hand(path, {**BASE_META, "n": 1}, BASE_COV[:1], resp)
+    with pytest.raises(InvalidInputError, match=match):
+        load_dataset(path)
+
+
 def test_tabular_not_positive_definite(tmp_path):
     path = tmp_path / "tab"
     resp = list(BASE_RESP)
