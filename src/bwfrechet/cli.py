@@ -31,7 +31,9 @@ from .errors import (
     UnreliableResultError,
 )
 from .experiments import (
+    ConsistencyTrial,
     ExperimentConfig,
+    TrialRecord,
     consistency_configs,
     mixture_ks_distance,
     pooled_eigenvalues,
@@ -108,13 +110,10 @@ def _cmd_fit(args):
     if args.out:
         body = {
             "x": [float(v) for v in x],
-            "mean": [[float(v) for v in row] for row in result.mean],
-            "converged": bool(result.converged),
-            "iterations": int(result.iterations),
-            "grad_norm": float(result.grad_norm),
-            "objective": float(result.objective),
+            **dataclasses.asdict(result),
             "input_sha256": dataset_checksum(args.data),
         }
+        body["mean"] = result.mean.tolist()
         write_result(args.out, "fit", body)
     return 0
 
@@ -154,26 +153,25 @@ def _experiment_config(path, grid=None):
     return config
 
 
-# the records.csv columns of each record type, read from it by attribute
-_TRIAL_COLUMNS = (
-    "index",
-    "data_seed",
-    "mc_seed",
-    "statistic",
-    "p_value",
-    "quantile",
-    "reject",
-    "nonconverged",
-    "n_fits",
-    "error",
-)
-_CONSISTENCY_COLUMNS = ("n", "index", "data_seed", "sup_error", "nonconverged", "error")
+# the fields that records.csv and summary.json leave out: a trial's spectrum,
+# and a study's configuration (written once) and per-trial records
+_LEFT_OUT = ("eigenvalues", "config", "records")
 
 
-def _record_row(record, columns, lead=()):
-    """``lead``, then ``columns`` read from ``record``: None is written empty, a bool as 0/1."""
+def _fields(obj):
+    """The field names of dataclass or dataclass type ``obj`` in order, less ``_LEFT_OUT``."""
+    return [f.name for f in dataclasses.fields(obj) if f.name not in _LEFT_OUT]
+
+
+def _summary(result):
+    """``result``'s fields, less ``_LEFT_OUT``, as a summary.json object."""
+    return {name: getattr(result, name) for name in _fields(result)}
+
+
+def _record_row(record, lead=()):
+    """``lead``, then ``record``'s fields: None is written empty, a bool as 0/1."""
     row = list(lead)
-    for name in columns:
+    for name in _fields(record):
         value = getattr(record, name)
         if value is None:
             value = ""
@@ -207,22 +205,15 @@ def _size_study(args):
     """Run the size study that ``size`` and ``qq`` share and write its records."""
     config = _experiment_config(args.config)
     result = run_size_study(config)
-    rows = [_record_row(rec, _TRIAL_COLUMNS) for rec in result.records]
-    _write_records(args.out, _TRIAL_COLUMNS, rows, [] if result.completed else ["in the study"])
+    rows = [_record_row(rec) for rec in result.records]
+    empty = [] if result.completed else ["in the study"]
+    _write_records(args.out, _fields(TrialRecord), rows, empty)
     return config, result
 
 
 def _cmd_size(args):
     config, result = _size_study(args)
-    summary = {
-        "trials": config.trials,
-        "completed": result.completed,
-        "rejections": result.rejections,
-        "rejection_rate": result.rejection_rate,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-    }
-    _write_summary(args, "size-study", config, summary)
+    _write_summary(args, "size-study", config, {"trials": config.trials, **_summary(result)})
     print(
         f"size: rate={result.rejection_rate:.4g} "
         f"ci=[{result.ci_low:.4g}, {result.ci_high:.4g}] "
@@ -235,23 +226,13 @@ def _cmd_power(args):
     config = _experiment_config(args.config, power_configs)
     result = run_power_curve(config)
     rows = [
-        _record_row(rec, _TRIAL_COLUMNS, lead=(point.delta,))
+        _record_row(rec, lead=(point.delta,))
         for point in result.points
         for rec in point.records
     ]
     empty = [f"at delta {point.delta:g}" for point in result.points if not point.completed]
-    _write_records(args.out, ("delta",) + _TRIAL_COLUMNS, rows, empty)
-    points = [
-        {
-            "delta": point.delta,
-            "completed": point.completed,
-            "rejections": point.rejections,
-            "power": point.power,
-            "ci_low": point.ci_low,
-            "ci_high": point.ci_high,
-        }
-        for point in result.points
-    ]
+    _write_records(args.out, ["delta", *_fields(TrialRecord)], rows, empty)
+    points = [_summary(point) for point in result.points]
     _write_summary(args, "power-curve", config, {"points": points})
     deltas = ", ".join(f"{point.delta:g}" for point in result.points)
     powers = ", ".join(f"{point.power:.3f}" for point in result.points)
@@ -284,10 +265,10 @@ def _cmd_qq(args):
 def _cmd_consistency(args):
     config = _experiment_config(args.config, consistency_configs)
     result = run_consistency_study(config)
-    rows = [_record_row(trial, _CONSISTENCY_COLUMNS) for trial in result.trials]
+    rows = [_record_row(trial) for trial in result.trials]
     empty = [f"at n {row.n}" for row in result.rows if not row.completed]
-    _write_records(args.out, _CONSISTENCY_COLUMNS, rows, empty)
-    summary_rows = [dataclasses.asdict(row) for row in result.rows]
+    _write_records(args.out, _fields(ConsistencyTrial), rows, empty)
+    summary_rows = [_summary(row) for row in result.rows]
     _write_summary(args, "consistency-study", config, {"rows": summary_rows})
     errs = ", ".join(f"{row.n}:{row.median_sup_error:.4g}" for row in result.rows)
     print(f"consistency: median sup errors {{{errs}}} -> {args.out}")

@@ -13,6 +13,7 @@ settings produce byte-identical outputs.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -306,24 +307,10 @@ def load_result(path):
 
 
 def test_result_body(result, input_sha256=None):
-    """JSON-ready dictionary for a partial-effect test result."""
-    body = {
-        "statistic": float(result.statistic),
-        "p_value": float(result.p_value),
-        "quantile": float(result.quantile),
-        "reject": bool(result.reject),
-        "alpha": float(result.alpha),
-        "mc_draws": int(result.mc_draws),
-        "seed": int(result.seed),
-        "eigenvalues": [float(v) for v in result.eigenvalues],
-        "diagnostics": {
-            "n1": result.diagnostics.n1,
-            "n2": result.diagnostics.n2,
-            "n_fits": result.diagnostics.n_fits,
-            "nonconverged": result.diagnostics.nonconverged,
-            "min_hessian_eigenvalue": float(result.diagnostics.min_hessian_eigenvalue),
-        },
-    }
+    """JSON-ready dictionary for a partial-effect test result: its fields in
+    order, the eigenvalues as a list, then ``input_sha256`` if given."""
+    body = dataclasses.asdict(result)
+    body["eigenvalues"] = [float(v) for v in result.eigenvalues]
     if input_sha256 is not None:
         body["input_sha256"] = input_sha256
     return body

@@ -16,6 +16,7 @@ sample sizes in the consistency study. Failed trials are recorded with the
 error message rather than dropped.
 """
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product, repeat
@@ -155,13 +156,11 @@ class TrialRecord:
 
 def _run_test_trial(config, index):
     data_seed, mc_seed = trial_seeds(config.seed, index)
+    record = functools.partial(TrialRecord, index=index, data_seed=data_seed, mc_seed=mc_seed)
     try:
         data, _ = generate(config.sim_config(seed=data_seed))
         result = run_partial_test(data, config.test_options(mc_seed))
-        return TrialRecord(
-            index=index,
-            data_seed=data_seed,
-            mc_seed=mc_seed,
+        return record(
             statistic=result.statistic,
             p_value=result.p_value,
             quantile=result.quantile,
@@ -171,10 +170,7 @@ def _run_test_trial(config, index):
             eigenvalues=tuple(float(v) for v in result.eigenvalues),
         )
     except BwfrechetError as exc:
-        return TrialRecord(
-            index=index,
-            data_seed=data_seed,
-            mc_seed=mc_seed,
+        return record(
             error=f"{type(exc).__name__}: {exc}",
         )
 
@@ -190,8 +186,14 @@ def _map_trials(config, worker, trials):
 
 def clopper_pearson(successes, total, level=0.95):
     """Exact binomial confidence interval for a proportion."""
+    if not (is_integer(successes) and is_integer(total)):
+        raise InvalidInputError(
+            f"successes and total must be integers, got {successes!r} and {total!r}"
+        )
     if not 0 <= successes <= total or total < 1:
         raise InvalidInputError("need 0 <= successes <= total with total >= 1")
+    if not (is_real(level) and 0.0 < level < 1.0):
+        raise InvalidInputError(f"level must be a number in (0, 1), got {level!r}")
     from scipy import stats  # deferred: scipy.stats is most of the package's import time
 
     tail = (1.0 - level) / 2.0
@@ -292,9 +294,9 @@ def run_power_curve(config):
 class ConsistencyTrial:
     """One consistency trial; a failed trial keeps the outcome defaults."""
 
+    n: int
     index: int
     data_seed: int
-    n: int
     sup_error: float | None = None
     nonconverged: int = 0
     error: str | None = None
@@ -334,6 +336,7 @@ def _evaluation_lattice(config):
 
 def _run_consistency_trial(config, index):
     data_seed, _ = trial_seeds(config.seed, index)
+    trial = functools.partial(ConsistencyTrial, n=config.n, index=index, data_seed=data_seed)
     try:
         data, truth = generate(config.sim_config(seed=data_seed))
         lattice = _evaluation_lattice(config)
@@ -349,18 +352,12 @@ def _run_consistency_trial(config, index):
             nonconverged += not fit.converged
             target = population_qstar(truth, row)
             worst = max(worst, float(np.linalg.norm(fit.mean - target)))
-        return ConsistencyTrial(
-            index=index,
-            data_seed=data_seed,
-            n=config.n,
+        return trial(
             sup_error=worst,
             nonconverged=nonconverged,
         )
     except BwfrechetError as exc:
-        return ConsistencyTrial(
-            index=index,
-            data_seed=data_seed,
-            n=config.n,
+        return trial(
             error=f"{type(exc).__name__}: {exc}",
         )
 

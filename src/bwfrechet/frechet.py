@@ -103,10 +103,7 @@ class CovariateMoments:
         cov = (xc.T @ xc) / n
         cov = sym_part(cov)
         cov_inv = _checked_inverse(cov)
-        if p1 > 0:
-            cov11_inv = _checked_inverse(cov[:p1, :p1])
-        else:
-            cov11_inv = np.zeros((0, 0))
+        cov11_inv = _checked_inverse(cov[:p1, :p1])
         mean.flags.writeable = False
         cov.flags.writeable = False
         return cls(mean=mean, cov=cov, p1=p1, n=n, cov_inv=cov_inv, cov11_inv=cov11_inv)

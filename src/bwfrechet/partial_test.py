@@ -123,6 +123,8 @@ def imputed_covariates(x, moments):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != moments.p:
         raise InvalidInputError(f"x: expected trailing dimension {moments.p}, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("x: non-finite entries")
     p1 = moments.p1
     y = x[..., :p1]
     yc = y - moments.mean[:p1]
@@ -542,9 +544,9 @@ class TestResult:
     quantile: float
     reject: bool
     alpha: float
-    eigenvalues: np.ndarray
     mc_draws: int
     seed: int
+    eigenvalues: np.ndarray
     diagnostics: TestDiagnostics
 
 
@@ -589,9 +591,9 @@ def run_partial_test(data, options=None):
         p_value=pval,
         quantile=quantile,
         reject=bool(statistic > quantile),
-        alpha=options.alpha,
+        alpha=float(options.alpha),
+        mc_draws=int(options.mc_draws),
+        seed=int(options.seed),
         eigenvalues=lam,
-        mc_draws=options.mc_draws,
-        seed=options.seed,
         diagnostics=diagnostics,
     )

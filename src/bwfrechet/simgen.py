@@ -105,30 +105,32 @@ def _diag_values(example, p_y, delta_z, d, x):
     return _diag_profile(example, d) + shift[..., None]
 
 
-def haar_orthogonal(d, rng):
-    """Orthogonal matrix drawn from the Haar measure on O(d).
+def _haar_q(z):
+    """The Q factor of each standard normal matrix in the stack ``z`` (..., k, k).
 
-    QR of a standard normal matrix with the sign of R's diagonal fixed to be
-    nonnegative (zeros count as positive), which makes the factorization
-    unique and the draw Haar distributed.
+    The sign of R's diagonal is fixed to be nonnegative (zeros count as
+    positive), which makes the factorization unique and each Q Haar
+    distributed on O(k).
     """
+    q, r = np.linalg.qr(z)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs = np.where(signs == 0, 1.0, signs)
+    return q * signs[..., None, :]
+
+
+def haar_orthogonal(d, rng):
+    """Orthogonal matrix drawn from the Haar measure on O(d)."""
     if d < 1:
         raise InvalidInputError(f"d must be positive, got {d}")
     z = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.diagonal(r))
-    signs = np.where(signs == 0, 1.0, signs)
-    return q * signs
+    return _haar_q(z)
 
 
 def _block_haar_stack(n, d, rng):
     """n block-diagonal orthogonal matrices with independent 2 x 2 Haar blocks."""
     half = d // 2
     z = rng.standard_normal((n, half, 2, 2))
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs = np.where(signs == 0, 1.0, signs)
-    q = q * signs[..., None, :]
+    q = _haar_q(z)
     out = np.zeros((n, d, d))
     for j in range(half):
         out[:, 2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = q[:, j]

@@ -319,6 +319,65 @@ def test_consistency_command_outputs(tmp_path):
     assert len(rows) == 1 + 2 * 2
 
 
+_TRIAL_HEADER = [
+    "index", "data_seed", "mc_seed", "statistic", "p_value", "quantile",
+    "reject", "nonconverged", "n_fits", "error",
+]
+_STUDY_KEYS = ["format", "version", "kind", "command", "config"]
+
+
+def test_output_schemas(tmp_path):
+    # every file's columns and keys, in order, so that a dataclass edit
+    # cannot reorder an output unnoticed
+    def header(path):
+        with open(path, newline="") as fh:
+            return next(csv.reader(fh))
+
+    def keys(path):
+        return list(json.loads(path.read_text()))
+
+    cfg = write_config(
+        tmp_path, trials=2, delta_grid=[0.0, 0.3], n_grid=[16, 24], consistency_trials=2
+    )
+    for command in ("size", "power", "qq", "consistency"):
+        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / command)) == 0
+    assert header(tmp_path / "size" / "records.csv") == _TRIAL_HEADER
+    assert header(tmp_path / "qq" / "records.csv") == _TRIAL_HEADER
+    assert header(tmp_path / "power" / "records.csv") == ["delta"] + _TRIAL_HEADER
+    assert header(tmp_path / "consistency" / "records.csv") == [
+        "n", "index", "data_seed", "sup_error", "nonconverged", "error"
+    ]
+    assert keys(tmp_path / "size" / "summary.json") == _STUDY_KEYS + [
+        "trials", "completed", "rejections", "rejection_rate", "ci_low", "ci_high"
+    ]
+    assert keys(tmp_path / "qq" / "summary.json") == _STUDY_KEYS + [
+        "completed", "ks_distance", "lambda_reference", "pooled_eigenvalues"
+    ]
+    power = load_result(tmp_path / "power" / "summary.json")
+    assert list(power) == _STUDY_KEYS + ["points"]
+    assert list(power["points"][0]) == [
+        "delta", "completed", "rejections", "power", "ci_low", "ci_high"
+    ]
+    consistency = load_result(tmp_path / "consistency" / "summary.json")
+    assert list(consistency) == _STUDY_KEYS + ["rows"]
+    assert list(consistency["rows"][0]) == ["n", "completed", "median_sup_error", "mean_sup_error"]
+
+    data_path = simulate(tmp_path)
+    out = tmp_path / "result.json"
+    rc = run_cli("test", "--data", str(data_path), "--max-nonconverged", "1", "--out", str(out))
+    assert rc == 0
+    assert keys(out) == [
+        "format", "version", "kind", "statistic", "p_value", "quantile", "reject",
+        "alpha", "mc_draws", "seed", "eigenvalues", "diagnostics", "input_sha256",
+    ]
+    out = tmp_path / "fit.json"
+    assert run_cli("fit", "--data", str(data_path), "--at", "0.1,-0.2,0.3", "--out", str(out)) == 0
+    assert keys(out) == [
+        "format", "version", "kind", "x", "mean", "converged", "iterations",
+        "grad_norm", "objective", "input_sha256",
+    ]
+
+
 def test_config_validation(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 16, "bogus_key": 1}))

@@ -404,11 +404,14 @@ def test_version_1_result_loads(tmp_path):
 
 
 def test_result_diagnostics_keys():
-    res = pt.run_partial_test(tiny_dataset(n=12), pt.TestOptions(mc_draws=2000, max_nonconverged=1.0))
+    # the options accept numpy integers; the body must still be plain JSON
+    options = pt.TestOptions(seed=np.int64(3), mc_draws=np.int64(10), max_nonconverged=1.0)
+    res = pt.run_partial_test(tiny_dataset(n=12), options)
     body = dio.test_result_body(res)
     assert list(body["diagnostics"]) == [
         "n1", "n2", "n_fits", "nonconverged", "min_hessian_eigenvalue"
     ]
+    assert json.loads(json.dumps(body))["seed"] == 3
 
 
 def test_write_table_float_repr(tmp_path):

@@ -102,6 +102,25 @@ def test_clopper_pearson_against_beta_quantiles():
         clopper_pearson(-1, 4)
 
 
+@pytest.mark.parametrize(
+    "successes, total, level",
+    [
+        (3.5, 10, 0.95),
+        (True, 10, 0.95),
+        (3, 10.0, 0.95),
+        (3, 10, 1.5),
+        (3, 10, 0),
+        (3, 10, 1.0),
+        (3, 10, float("nan")),
+        (3, 10, True),
+        (3, 10, "0.95"),
+    ],
+)
+def test_clopper_pearson_rejects_non_integer_counts_and_bad_levels(successes, total, level):
+    with pytest.raises(InvalidInputError):
+        clopper_pearson(successes, total, level)
+
+
 # ---------------------------------------------------------------------------
 # size and power studies
 # ---------------------------------------------------------------------------

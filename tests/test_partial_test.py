@@ -184,6 +184,21 @@ def test_impute_zero_cross_covariance():
         assert_allclose(imputed_covariates(np.array([y, 5.0]), split.moments), [y, 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        [np.nan, 0.0, 0.0],
+        [0.0, 0.0, np.nan],
+        [[0.1, 0.2, 0.3], [0.0, np.inf, 0.0]],
+    ],
+)
+def test_impute_rejects_non_finite_rows(x):
+    # a NaN in the trailing block would be replaced by its imputation unseen
+    data, _ = generate(SimConfig(example=1, n=20, p_y=2, p_z=1, d=3, seed=0))
+    with pytest.raises(InvalidInputError, match="x: non-finite entries"):
+        imputed_covariates(np.array(x), split_dataset(data).moments)
+
+
 def test_impute_collinear_z_column():
     # z duplicates the first y column, so the imputation recovers it exactly
     rng = np.random.default_rng(8)
