@@ -14,7 +14,6 @@ settings produce byte-identical outputs.
 
 import csv
 import dataclasses
-import hashlib
 import json
 import os
 from itertools import chain
@@ -81,13 +80,14 @@ def write_dataset(path, data, fmt="json", metadata=None):
             "p": data.p,
             "p1": data.p1,
             "d": data.d,
-            "covariates": [[float(v) for v in row] for row in data.covariates],
-            "responses": [
-                [[float(v) for v in row] for row in mat] for mat in data.responses
-            ],
+            "covariates": data.covariates.tolist(),
+            "responses": data.responses.tolist(),
             "metadata": metadata,
         }
-        _write_json(path, payload)
+        # one compact line: json.dumps without an indent is the only call that
+        # runs json's C encoder, and a dataset is the one large file written
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload) + "\n")
         return
     if fmt != "tabular":
         raise InvalidInputError(f"unknown dataset format {fmt!r}")
@@ -277,6 +277,8 @@ def load_dataset(path, p1=None):
 
 def dataset_checksum(path):
     """SHA-256 hex digest of a dataset file, or of a tabular directory's files."""
+    import hashlib  # deferred: only the commands that record an input's digest load it
+
     digest = hashlib.sha256()
     names = (_META_NAME, _COV_NAME, _RESP_NAME)
     for full in [os.path.join(path, name) for name in names] if os.path.isdir(path) else [path]:

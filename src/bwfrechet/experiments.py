@@ -17,7 +17,6 @@ error message rather than dropped.
 """
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product, repeat
 
@@ -179,6 +178,8 @@ def _map_trials(config, worker, trials):
     """Run ``worker(config, index)`` for each trial index, in order, inline or over processes."""
     # the pool starts all its workers up front, so it gets no more than there are trials
     if config.processes > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: it loads multiprocessing and logging
+
         with ProcessPoolExecutor(max_workers=min(config.processes, trials)) as pool:
             return list(pool.map(worker, repeat(config), range(trials)))
     return list(map(worker, repeat(config), range(trials)))

@@ -195,7 +195,8 @@ class SolverOptions:
     """Stopping rule of the weighted Frechet mean descent.
 
     A fit stops when the gradient norm is at most ``grad_tol`` sqrt(d), a
-    verdict free of the responses' units, after ``max_iters`` iterations, or
+    verdict free of the responses' units and of the weights' scale, after
+    ``max_iters`` iterations, or
     when the line search accepts no step. Every iterate is positive definite
     at ``manifold.EPS_PD``, the one threshold of the package.
     """
@@ -266,10 +267,14 @@ def _fit_mean(qs, weights, options, start=None):
     """Descent loop on pre-validated response stack ``qs``.
 
     Starts from ``start``, the :func:`start_state` of ``qs``, which is built
-    here when not given. Each pass computes the gradient at the current
-    iterate and stops when its norm is at most ``grad_tol`` sqrt(d), with
-    sqrt(d) the norm of I (converged), or when ``max_iters`` steps have been
-    taken; otherwise it takes the longest step in ``_STEPS`` that keeps the
+    here when not given. The weights, whose mean must be positive, are first
+    divided by their mean, so that the step I + eta g along the gradient
+    g = (1/n) sum_i w_i T_i - I is the fixed-point step and neither the
+    steps nor the verdict depend on the weights' scale; ``objective`` is
+    reported in the weights as given. Each pass computes the gradient at the
+    current iterate and stops when its norm is at most ``grad_tol`` sqrt(d),
+    with sqrt(d) the norm of I (converged), or when ``max_iters`` steps have
+    been taken; otherwise it takes the longest step in ``_STEPS`` that keeps the
     iterate positive definite and is accepted, and stops unconverged when
     none is. The gradient is a combination of transport maps, which Q -> cQ
     leaves unchanged, so the verdict does not depend on the units of Q.
@@ -289,11 +294,12 @@ def _fit_mean(qs, weights, options, start=None):
     s, trq, batch, d2 = start_state(qs) if start is None else start
     n, eye = qs.shape[0], np.eye(qs.shape[-1])
     wbar = weights.mean()
+    weights = weights / wbar
     eps = np.finfo(float).eps
 
     def gradient(batch):
         # average of weighted transport maps minus identity, and its norm
-        g = batch.mean_map(weights) - wbar * eye
+        g = batch.mean_map(weights) - eye
         return g, float(np.linalg.norm(g))
 
     obj = float(np.dot(weights, d2) / n)
@@ -332,7 +338,7 @@ def _fit_mean(qs, weights, options, start=None):
         converged=converged,
         iterations=min(steps + 1, options.max_iters),
         grad_norm=grad_norm,
-        objective=obj,
+        objective=obj * wbar,
     )
     return fit, batch
 
@@ -349,6 +355,12 @@ def _reported(fit):
     return fit
 
 
+def _positive_finite_sum(weights):
+    """The weight rule of the public fits: a sum in (0, inf), which an overflow fails."""
+    with np.errstate(over="ignore"):
+        return bool(0 < weights.sum() < np.inf)
+
+
 def weighted_frechet_mean(responses, weights, options=None):
     """Weighted Frechet mean of SPD matrices under the BW metric.
 
@@ -357,7 +369,9 @@ def weighted_frechet_mean(responses, weights, options=None):
     responses : array_like, shape (n, d, d)
         SPD matrices.
     weights : array_like, shape (n,)
-        Real weights, possibly negative; their sum must be positive.
+        Finite real weights, possibly negative; their sum must be positive
+        and finite. Only their ratios matter: c * weights gives the same
+        mean for any c > 0.
     options : SolverOptions, optional
 
     Returns
@@ -376,15 +390,17 @@ def weighted_frechet_mean(responses, weights, options=None):
         )
     if not np.all(np.isfinite(weights)):
         raise InvalidInputError("weights: non-finite entries")
-    if weights.sum() <= 0:
-        raise InvalidInputError("weights must have positive sum")
+    if not _positive_finite_sum(weights):
+        raise InvalidInputError("weights must have a positive finite sum")
     return _reported(_fit_mean(qs, weights, options)[0])
 
 
 def regression_weights(x, covariates, moments):
     """Linear regression weights w(x, X_i) = 1 + (x - mean)' cov^{-1} (X_i - mean).
 
-    These average to one over the sample used to build ``moments``.
+    These average to one over the sample used to build ``moments``. A
+    weight that overflows, at an ``x`` far outside the sample, is invalid
+    input.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (moments.p,):
@@ -394,7 +410,12 @@ def regression_weights(x, covariates, moments):
     covariates = np.asarray(covariates, dtype=float)
     if covariates.ndim != 2 or covariates.shape[1] != moments.p:
         raise InvalidInputError(f"covariates: need {moments.p} columns, got shape {covariates.shape}")
-    return 1.0 + (covariates - moments.mean) @ (moments.require_cov_inv() @ (x - moments.mean))
+    # an overflow is reported as the error below, not as a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = 1.0 + (covariates - moments.mean) @ (moments.require_cov_inv() @ (x - moments.mean))
+    if not np.all(np.isfinite(w)):
+        raise InvalidInputError("x: the regression weights at x are not finite")
+    return w
 
 
 def frechet_regress(data, x, moments=None, options=None):
@@ -419,6 +440,6 @@ def frechet_regress(data, x, moments=None, options=None):
         moments = CovariateMoments.from_covariates(data.covariates, data.p1)
     options = options or SolverOptions()
     w = regression_weights(x, data.covariates, moments)
-    if w.sum() <= 0:
-        raise InvalidInputError("regression weights at x have nonpositive sum")
+    if not _positive_finite_sum(w):
+        raise InvalidInputError("regression weights at x must have a positive finite sum")
     return _reported(_fit_mean(data.responses, w, options)[0])

@@ -24,7 +24,6 @@ one batch, and results are bit-identical for any thread count.
 import contextlib
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,7 +239,12 @@ def fit_first_half(split, options=None, threads=1):
     kernel = np.zeros((n1, n1))
     discrepancy = 0.0
     min_eig = np.inf
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
+    runner = contextlib.nullcontext()
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # deferred: concurrent.futures loads logging
+
+        runner = ThreadPoolExecutor(max_workers=threads)
+    with runner as pool:
         fit_map = map if pool is None else pool.map
         for first in range(0, split.n2, _BLOCK):
             rows = range(first, min(first + _BLOCK, split.n2))

@@ -114,6 +114,14 @@ def test_fit_on_tabular_dataset(tmp_path, capsys):
     assert rc == 2  # wrong arity
 
 
+def test_fit_at_an_overflowing_point_is_invalid_input(tmp_path, capsys):
+    # its regression weights overflow; numpy's LinAlgError escaped with exit 1
+    data_path = simulate(tmp_path, n=40, seed=1)
+    rc = run_cli("fit", "--data", str(data_path), "--at", "1e308,1e308,0")
+    assert rc == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -82,6 +82,9 @@ def test_json_roundtrip_exact(tmp_path):
     assert payload["format"] == "bwfrechet-dataset"
     assert payload["version"] == 1
     assert payload["metadata"] == {"note": "check"}
+    # one compact line, written by json's C encoder
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
 
 
 def test_tabular_roundtrip_exact(tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -49,11 +50,15 @@ def tiny_config(**kw):
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats alone was most of the package's import time, and
     # scipy.integrate, scipy.optimize or scipy.special would each add a
-    # large share of it; only the study helper that needs scipy loads it
+    # large share of it; only the study helper that needs scipy loads it.
+    # Likewise the process and thread pools (with multiprocessing and
+    # logging) load only when more than one worker runs, and hashlib only
+    # when a digest is taken
     src = os.path.dirname(os.path.dirname(os.path.abspath(bwfrechet.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    deferred = ("scipy", "concurrent", "multiprocessing", "hashlib")
     code = ("import sys, bwfrechet, bwfrechet.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {deferred!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     assert out.stdout.strip() == "[]"
@@ -286,7 +291,7 @@ class _InlinePool:
 
 
 def test_map_trials_starts_no_more_workers_than_trials(monkeypatch):
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "started", [])
 
     def worker(config, index):

@@ -172,6 +172,24 @@ def test_mean_weight_validation():
         weighted_frechet_mean(qs, np.array([np.inf, 1.0]))
 
 
+def test_mean_is_free_of_the_weights_scale():
+    # the step I + eta g is the fixed-point step only for weights averaging
+    # one: unnormalized, tiny weights stopped at the start as "converged",
+    # 1e-3 ran out of iterations, 1e10 stalled at the start, and a sum that
+    # overflows reached the eigensolver as inf
+    data, _ = generate(SimConfig(example=2, n=40, p_y=2, p_z=1, d=4, seed=1))
+    w = np.random.default_rng(0).uniform(0.5, 1.5, 40)
+    ref = weighted_frechet_mean(data.responses, w / w.mean())
+    assert ref.converged
+    for scale in (1e-300, 1e-10, 1e-3, 1e10, 1e300):
+        fit = weighted_frechet_mean(data.responses, scale * w)
+        assert fit.converged and fit.iterations == ref.iterations
+        assert_allclose(fit.mean, ref.mean, rtol=1e-13, atol=0)
+        assert_allclose(fit.objective, scale * w.mean() * ref.objective, rtol=1e-13)
+    with pytest.raises(InvalidInputError, match="positive finite sum"):
+        weighted_frechet_mean(data.responses, 1e307 * w)
+
+
 def test_mean_warns_when_iteration_budget_exhausted():
     rng = np.random.default_rng(5)
     qs = np.stack([random_spd(rng, 4) for _ in range(10)])
@@ -264,6 +282,18 @@ def test_regression_weights_average_to_one():
     for bad in (x[:, :2], x[:, :1], x[0]):
         with pytest.raises(InvalidInputError, match="covariates"):
             regression_weights(rng.standard_normal(3), bad, m)
+
+
+def test_regression_weights_reject_an_overflowing_x():
+    # a finite x so far out that its weights overflow reached the solver,
+    # whose eigensolver raised numpy's LinAlgError
+    data, _ = generate(SimConfig(example=1, n=40, p_y=2, p_z=1, d=3, seed=1))
+    m = CovariateMoments.from_covariates(data.covariates, data.p1)
+    x = np.array([1e308, 1e308, 0.0])
+    with pytest.raises(InvalidInputError, match="not finite"):
+        regression_weights(x, data.covariates, m)
+    with pytest.raises(InvalidInputError, match="not finite"):
+        frechet_regress(data, x)
 
 
 def test_regress_at_mean_is_unweighted_mean():
